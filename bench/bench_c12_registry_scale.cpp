@@ -296,6 +296,7 @@ int main(int argc, char** argv) {
     std::cout << "C12 gate mode: shards=" << shards
               << " leases=" << out.result.leases_held
               << " lapsed=" << out.result.grants_lapsed
+              << " snapshot_builds=" << out.result.snapshot_builds
               << " alert=" << (out.result.outage_alert_fired ? "fired" : "NO")
               << "/" << (out.result.outage_alert_resolved ? "resolved" : "NO")
               << " artifacts=" << prefix << ".*\n";
@@ -368,8 +369,8 @@ int main(int argc, char** argv) {
 
   // ---- C: churn storm across 1/2/4 shards ----------------------------
   std::cout << "\n";
-  TextTable t{{"shards", "leases", "lapsed", "regrants", "hit%", "events",
-               "wall", "identical"}};
+  TextTable t{{"shards", "leases", "lapsed", "regrants", "hit%",
+               "snapshot builds", "events", "wall", "identical"}};
   StormOutput base;
   for (const std::size_t shards : {1u, 2u, 4u}) {
     StormOutput out = run_storm(opt, shards, shards, &harness);
@@ -397,6 +398,7 @@ int main(int argc, char** argv) {
         .integer(static_cast<long long>(r.grants_lapsed))
         .integer(static_cast<long long>(r.regrant_batches))
         .num(lookups == 0.0 ? 0.0 : 100.0 * r.cache_hits / lookups, 1)
+        .integer(static_cast<long long>(r.snapshot_builds))
         .integer(static_cast<long long>(r.events_executed))
         .num(out.wall_s, 2, "s")
         .add(identical ? "yes" : "NO");
@@ -420,6 +422,7 @@ int main(int argc, char** argv) {
             << " misses=" << r.cache_misses << " stale=" <<
       r.cache_stale_serves
             << " sheds=" << r.cache_root_sheds
+            << " snapshot_builds=" << r.snapshot_builds
             << " alert=" << (r.outage_alert_fired ? "fired" : "NO") << "/"
             << (r.outage_alert_resolved ? "resolved" : "NO") << "\n"
             << "Merged metrics, series (with the churn SLO timeline), "

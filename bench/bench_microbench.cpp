@@ -5,8 +5,13 @@
 // cheap).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <iostream>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "bench_harness.h"
 #include "crypto/milenage.h"
@@ -16,8 +21,10 @@
 #include "mac/lte_scheduler.h"
 #include "mac/wifi_dcf.h"
 #include "phy/propagation.h"
+#include "registry/spatial.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
+#include "spectrum/registry.h"
 
 namespace {
 using namespace dlte;
@@ -188,9 +195,170 @@ void BM_DcfSimulatedSecond(benchmark::State& state) {
 }
 BENCHMARK(BM_DcfSimulatedSecond);
 
+// Registry zone reads at 1M leases (DESIGN.md §16): 1,048,576 grants
+// on 15 CBRS-style channels, evenly over a 16x16 grid of 50 km zones.
+// Every query reads one of kQueryZones zones in turn, and every
+// kChurnPeriod queries one lease is revoked and granted again — sparse
+// churn, which moves the index generation and so makes each queried
+// zone rebuild its memoized snapshot once per period. The linear bench
+// answers the same queries with a pass over Registry::grants(), the
+// oracle the differential tests also use; main() records the in-run
+// ratios against it.
+class ZoneReadFixture {
+ public:
+  static constexpr int kGrants = 1 << 20;
+  static constexpr int kZonesPerSide = 16;
+  static constexpr std::uint64_t kQueryZones = 16;
+  static constexpr std::uint64_t kChurnPeriod = 256;
+
+  static ZoneReadFixture& get() {
+    static ZoneReadFixture fixture;
+    return fixture;
+  }
+
+  spectrum::Registry& registry() { return reg_; }
+
+  // Query zones sit on a 4x4 lattice inside the grid, so every one has a
+  // full ring of populated neighbours reaching in.
+  static Position centre(std::uint64_t q) {
+    const auto i = static_cast<int>(q % kQueryZones);
+    const double zs = spectrum::Registry::kZoneSizeM;
+    return Position{(1.5 + 4 * (i % 4)) * zs, (2.5 + 4 * (i / 4)) * zs};
+  }
+  static std::int64_t zone(std::uint64_t q) {
+    return registry::zone_key(centre(q), spectrum::Registry::kZoneSizeM);
+  }
+
+  // One query of the shared schedule: churn on period boundaries, then
+  // the read. Keeps the schedule identical across the three benches.
+  template <typename Read>
+  void step(Read&& read) {
+    if (query_ % kChurnPeriod == 0) churn();
+    read(query_);
+    ++query_;
+  }
+
+  // The oracle: ids of all grants whose reach touches the zone of query
+  // `q`, by a pass over the flat grant vector, ascending.
+  std::vector<std::uint64_t> linear_ids(std::uint64_t q) const {
+    const double zs = spectrum::Registry::kZoneSizeM;
+    const Position c = centre(q);
+    const double x0 = std::floor(c.x_m / zs) * zs;
+    const double y0 = std::floor(c.y_m / zs) * zs;
+    std::vector<std::uint64_t> ids;
+    for (const auto& g : reg_.grants()) {
+      const double dx =
+          std::max({x0 - g.location.x_m, 0.0, g.location.x_m - (x0 + zs)});
+      const double dy =
+          std::max({y0 - g.location.y_m, 0.0, g.location.y_m - (y0 + zs)});
+      if (std::sqrt(dx * dx + dy * dy) <= range_by_channel_[channel(g)]) {
+        ids.push_back(g.id.value());
+      }
+    }
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  }
+
+ private:
+  ZoneReadFixture() : reg_{sim_, spectrum::RegistryKind::kCentralizedSas} {
+    ids_.reserve(kGrants);
+    for (int i = 0; i < kGrants; ++i) {
+      auto g = reg_.grant_now(request(i));
+      if (!g.ok()) std::abort();
+      ids_.push_back(g->id);
+    }
+    // Grants 0..14 cover the 15 channels in order.
+    for (int c = 0; c < 15; ++c) {
+      range_by_channel_[c] = spectrum::interference_range_m(reg_.grants()[c]);
+    }
+  }
+
+  static spectrum::GrantRequest request(int i) {
+    constexpr int kGrid = 1 << 10;  // sqrt(kGrants) sites per side.
+    const double pitch = kZonesPerSide * spectrum::Registry::kZoneSizeM / kGrid;
+    spectrum::GrantRequest req;
+    req.ap = ApId{static_cast<std::uint32_t>(i + 1)};
+    req.location = Position{(i % kGrid + 0.5) * pitch,
+                            (i / kGrid + 0.5) * pitch};
+    req.center_frequency = Hertz::mhz(3550.0 + 10.0 * (i % 15));
+    req.bandwidth = Hertz::mhz(10.0);
+    req.operator_contact = "micro@bench";
+    return req;
+  }
+  static int channel(const spectrum::SpectrumGrant& g) {
+    return static_cast<int>(
+        std::lround((g.center_frequency.hz() / 1e6 - 3550.0) / 10.0));
+  }
+
+  // Revoke the oldest lease and grant its site again: the population
+  // and placement stay fixed while the index changes.
+  void churn() {
+    const int i = next_churn_;
+    next_churn_ = (next_churn_ + 1) % kGrants;
+    reg_.revoke(ids_[i]);
+    auto g = reg_.grant_now(request(i));
+    if (!g.ok()) std::abort();
+    ids_[i] = g->id;
+  }
+
+  sim::Simulator sim_;
+  spectrum::Registry reg_;
+  std::vector<GrantId> ids_;
+  double range_by_channel_[15]{};
+  int next_churn_{0};
+  std::uint64_t query_{0};
+};
+
+// Runs a memoized read over the shared schedule. Before timing, exactly
+// four churn periods are replayed to count snapshot builds per query — a
+// machine-independent figure (kQueryZones / kChurnPeriod when the memo
+// works) that the reporter below records under "metrics".
+template <typename Read>
+void memoized_zone_reads(benchmark::State& state, Read&& read) {
+  ZoneReadFixture& f = ZoneReadFixture::get();
+  constexpr std::uint64_t kCounted = 4 * ZoneReadFixture::kChurnPeriod;
+  const std::uint64_t builds = f.registry().snapshot_builds();
+  for (std::uint64_t i = 0; i < kCounted; ++i) f.step(read);
+  state.counters["builds_per_query"] =
+      static_cast<double>(f.registry().snapshot_builds() - builds) / kCounted;
+  for (auto _ : state) f.step(read);
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_RegistryZoneSnapshot1M(benchmark::State& state) {
+  auto& reg = ZoneReadFixture::get().registry();
+  memoized_zone_reads(state, [&reg](std::uint64_t q) {
+    auto snap = reg.zone_snapshot(ZoneReadFixture::zone(q));
+    benchmark::DoNotOptimize(snap);
+  });
+}
+BENCHMARK(BM_RegistryZoneSnapshot1M);
+
+void BM_RegistryZoneOccupancy1M(benchmark::State& state) {
+  auto& reg = ZoneReadFixture::get().registry();
+  memoized_zone_reads(state, [&reg](std::uint64_t q) {
+    auto occ = reg.zone_occupancy(q, ZoneReadFixture::centre(q));
+    benchmark::DoNotOptimize(occ);
+  });
+}
+BENCHMARK(BM_RegistryZoneOccupancy1M);
+
+void BM_RegistryZoneLinear1M(benchmark::State& state) {
+  ZoneReadFixture& f = ZoneReadFixture::get();
+  for (auto _ : state) {
+    f.step([&f](std::uint64_t q) {
+      auto ids = f.linear_ids(q);
+      benchmark::DoNotOptimize(ids);
+    });
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RegistryZoneLinear1M);
+
 // Console output as usual, plus each benchmark's per-iteration real
 // time captured into the harness. Times land under "timings" (wall
-// clock, non-deterministic); only the run count goes into "metrics".
+// clock, non-deterministic); only the run count and the deterministic
+// builds-per-query figures go into "metrics".
 class CapturingReporter : public benchmark::ConsoleReporter {
  public:
   CapturingReporter(dlte::bench::Harness& harness,
@@ -206,6 +374,12 @@ class CapturingReporter : public benchmark::ConsoleReporter {
               : 0.0;
       harness_.timing(run.benchmark_name(), per_iter);
       per_iter_s_[run.benchmark_name()] = per_iter;
+      const auto builds = run.counters.find("builds_per_query");
+      if (builds != run.counters.end()) {
+        harness_.metrics()
+            .gauge("micro." + run.benchmark_name() + ".builds_per_query")
+            .set(builds->second.value);
+      }
       harness_.metrics().counter("micro.benchmarks_run").inc();
     }
     benchmark::ConsoleReporter::ReportRuns(runs);
@@ -232,5 +406,30 @@ int main(int argc, char** argv) {
   if (heap > 0.0 && calendar > 0.0) {
     harness.timing("event_queue_speedup", heap / calendar);
   }
-  return harness.finish(0);
+  // Memoized zone reads vs the linear pass over the same schedule (>1 =
+  // memo faster). Like C12's region-query gate, the 10x floor is loose:
+  // a memo hit is O(1) against an O(population) pass.
+  bool ok = true;
+  const double linear = per_iter_s["BM_RegistryZoneLinear1M"];
+  if (linear > 0.0) {
+    ZoneReadFixture& f = ZoneReadFixture::get();
+    for (std::uint64_t q = 0; q < ZoneReadFixture::kQueryZones; ++q) {
+      if (*f.registry().zone_snapshot(ZoneReadFixture::zone(q)) !=
+          f.linear_ids(q)) {
+        std::cerr << "microbench: zone_snapshot != linear pass\n";
+        ok = false;
+      }
+    }
+  }
+  for (const char* read : {"BM_RegistryZoneSnapshot1M",
+                           "BM_RegistryZoneOccupancy1M"}) {
+    const double memo = per_iter_s[read];
+    if (linear <= 0.0 || memo <= 0.0) continue;
+    harness.timing(std::string{read} + "_speedup", linear / memo);
+    if (linear / memo < 10.0) {
+      std::cerr << "microbench: " << read << " < 10x the linear pass\n";
+      ok = false;
+    }
+  }
+  return harness.finish(ok ? 0 : 1);
 }

@@ -308,6 +308,7 @@ RegistryPlaneResult RegistryPlaneScenario::run() {
       merged.counter("reg.registry.cache.stale_serves").value();
   result.cache_root_sheds =
       merged.counter("reg.registry.cache.root_sheds").value();
+  result.snapshot_builds = registry_->registry->snapshot_builds();
   for (const auto& block : blocks_) {
     result.regrant_batches += block->storm->regrant_batches();
     result.queries_answered += block->storm->queries_answered();

@@ -85,6 +85,9 @@ struct RegistryPlaneResult {
   std::uint64_t cache_misses{0};
   std::uint64_t cache_stale_serves{0};
   std::uint64_t cache_root_sheds{0};
+  // Zone snapshots the registry actually built (memo misses). A plain
+  // count, not a metric: the merged artifacts stay as they were.
+  std::uint64_t snapshot_builds{0};
   std::uint64_t leases_held{0};  // Across all blocks at the horizon.
   std::uint64_t windows{0};
   std::uint64_t messages{0};

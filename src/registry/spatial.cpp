@@ -10,14 +10,6 @@ std::int32_t axis_zone(double v, double zone_size_m) {
   return static_cast<std::int32_t>(std::floor(v / zone_size_m));
 }
 
-// Distance from a point to the closed axis-aligned square
-// [x0, x0+s] × [y0, y0+s]; zero when the point is inside.
-double point_to_square_m(Position p, double x0, double y0, double s) {
-  const double dx = std::max({x0 - p.x_m, 0.0, p.x_m - (x0 + s)});
-  const double dy = std::max({y0 - p.y_m, 0.0, p.y_m - (y0 + s)});
-  return std::sqrt(dx * dx + dy * dy);
-}
-
 }  // namespace
 
 std::int64_t zone_key_of(std::int32_t zx, std::int32_t zy) {
@@ -52,6 +44,7 @@ void SpatialIndex::insert(const SiteEntry& entry) {
   zone.max_range_m = std::max(zone.max_range_m, entry.range_m);
   max_range_m_ = std::max(max_range_m_, entry.range_m);
   ++size_;
+  ++generation_;
 }
 
 bool SpatialIndex::erase(std::uint64_t id, Position location) {
@@ -73,109 +66,21 @@ bool SpatialIndex::erase(std::uint64_t id, Position location) {
         if (zone.buckets.empty()) zones_.erase(zit);
       }
       --size_;
+      ++generation_;
       return true;
     }
   }
   return false;
 }
 
-void SpatialIndex::for_each_zone_near(
-    Position location, double radius_m, double floor_range_m,
-    const std::function<void(const Zone&)>& visit) const {
-  if (zones_.empty()) return;
-  const std::int32_t zx0 = axis_zone(location.x_m - radius_m, zone_size_m_);
-  const std::int32_t zx1 = axis_zone(location.x_m + radius_m, zone_size_m_);
-  const std::int32_t zy0 = axis_zone(location.y_m - radius_m, zone_size_m_);
-  const std::int32_t zy1 = axis_zone(location.y_m + radius_m, zone_size_m_);
-  for (std::int32_t zx = zx0; zx <= zx1; ++zx) {
-    for (std::int32_t zy = zy0; zy <= zy1; ++zy) {
-      const auto it = zones_.find(zone_key_of(zx, zy));
-      if (it == zones_.end()) continue;
-      // Zone-level reject: skip when neither the zone's longest reach
-      // nor the querier-side floor can bridge the gap to the query
-      // point. The floor matters for the contending predicate, where a
-      // short-reach entry still contends if it sits inside the
-      // querier's own range.
-      const double gap =
-          point_to_square_m(location, zx * zone_size_m_, zy * zone_size_m_,
-                            zone_size_m_);
-      if (gap > std::max(it->second.max_range_m, floor_range_m)) continue;
-      visit(it->second);
-    }
-  }
-}
-
-void SpatialIndex::for_each_reaching(Position location,
-                                     const Visitor& visit) const {
-  for_each_zone_near(location, max_range_m_, /*floor_range_m=*/0.0,
-                     [&](const Zone& zone) {
-    for (const Bucket& bucket : zone.buckets) {
-      for (const SiteEntry& entry : bucket.entries) {
-        if (distance_m(entry.location, location) <= entry.range_m) {
-          visit(entry);
-        }
-      }
-    }
-  });
-}
-
-void SpatialIndex::for_each_contending(Position location, double center_hz,
-                                       double half_bw_hz, double own_range_m,
-                                       std::uint64_t skip_id,
-                                       const Visitor& visit) const {
-  // Reach in a contention pair is the max of the two sides, so the scan
-  // radius must cover the larger of own_range and any indexed reach.
-  const double radius = std::max(own_range_m, max_range_m_);
-  for_each_zone_near(location, radius, own_range_m, [&](const Zone& zone) {
-    for (const Bucket& bucket : zone.buckets) {
-      // Band-level reject: overlap requires |Δcenter| < half_a + half_b.
-      if (std::abs(bucket.center_hz - center_hz) >=
-          half_bw_hz + bucket.max_half_bw_hz) {
-        continue;
-      }
-      for (const SiteEntry& entry : bucket.entries) {
-        if (entry.id == skip_id) continue;
-        if (std::abs(entry.center_hz - center_hz) >=
-            half_bw_hz + entry.half_bw_hz) {
-          continue;
-        }
-        const double reach = std::max(own_range_m, entry.range_m);
-        if (distance_m(entry.location, location) <= reach) visit(entry);
-      }
-    }
-  });
-}
-
-void SpatialIndex::for_each_touching_zone(std::int64_t zone,
-                                          const Visitor& visit) const {
+SpatialIndex::Box SpatialIndex::zone_square(std::int64_t zone) const {
   const auto zx = static_cast<std::int32_t>(
       static_cast<std::uint64_t>(zone) >> 32);
   const auto zy = static_cast<std::int32_t>(
       static_cast<std::uint64_t>(zone) & 0xffffffffULL);
   const double x0 = zx * zone_size_m_;
   const double y0 = zy * zone_size_m_;
-  // An entry reaching into [x0,x0+s]² lies within max_range_m_ of it, so
-  // scan the zones overlapping the square inflated by that bound.
-  const std::int32_t ix0 = axis_zone(x0 - max_range_m_, zone_size_m_);
-  const std::int32_t ix1 = axis_zone(x0 + zone_size_m_ + max_range_m_,
-                                     zone_size_m_);
-  const std::int32_t iy0 = axis_zone(y0 - max_range_m_, zone_size_m_);
-  const std::int32_t iy1 = axis_zone(y0 + zone_size_m_ + max_range_m_,
-                                     zone_size_m_);
-  for (std::int32_t ix = ix0; ix <= ix1; ++ix) {
-    for (std::int32_t iy = iy0; iy <= iy1; ++iy) {
-      const auto it = zones_.find(zone_key_of(ix, iy));
-      if (it == zones_.end()) continue;
-      for (const Bucket& bucket : it->second.buckets) {
-        for (const SiteEntry& entry : bucket.entries) {
-          if (point_to_square_m(entry.location, x0, y0, zone_size_m_) <=
-              entry.range_m) {
-            visit(entry);
-          }
-        }
-      }
-    }
-  }
+  return Box{x0, y0, x0 + zone_size_m_, y0 + zone_size_m_};
 }
 
 }  // namespace dlte::registry

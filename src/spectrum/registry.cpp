@@ -198,16 +198,19 @@ HeartbeatOutcome Registry::heartbeat_outcome(GrantId id) {
   }();
   obs::inc(outcome == HeartbeatOutcome::kRenewed ? m_hb_ok_ : m_hb_failed_);
   // Zero-duration marker: heartbeats are instantaneous in the model, but
-  // their cadence and failures belong in the trace.
-  const obs::SpanId span =
-      obs::span_begin(tracer_, "registry_heartbeat", span_cat_);
-  obs::span_annotate(tracer_, span, "grant", std::to_string(id.value()));
-  obs::span_annotate(tracer_, span, "result",
-                     outcome == HeartbeatOutcome::kRenewed ? "renewed"
-                     : outcome == HeartbeatOutcome::kUnreachable
-                         ? "registry unreachable"
-                         : "grant lapsed or unknown: re-apply");
-  obs::span_end(tracer_, span);
+  // their cadence and failures belong in the trace. Untraced, skip the
+  // span arguments entirely — heartbeats are the registry's hottest op.
+  if (tracer_ != nullptr) {
+    const obs::SpanId span =
+        obs::span_begin(tracer_, "registry_heartbeat", span_cat_);
+    obs::span_annotate(tracer_, span, "grant", std::to_string(id.value()));
+    obs::span_annotate(tracer_, span, "result",
+                       outcome == HeartbeatOutcome::kRenewed ? "renewed"
+                       : outcome == HeartbeatOutcome::kUnreachable
+                           ? "registry unreachable"
+                           : "grant lapsed or unknown: re-apply");
+    obs::span_end(tracer_, span);
+  }
   return outcome;
 }
 
@@ -299,9 +302,12 @@ void Registry::set_outage(RegistryOutage outage) {
 }
 
 void Registry::request_grant(GrantRequest request, GrantCallback callback) {
-  const obs::SpanId span =
-      obs::span_begin(tracer_, "registry_grant", span_cat_);
-  obs::span_annotate(tracer_, span, "ap", std::to_string(request.ap.value()));
+  obs::SpanId span = obs::kNoSpan;
+  if (tracer_ != nullptr) {
+    span = obs::span_begin(tracer_, "registry_grant", span_cat_);
+    obs::span_annotate(tracer_, span, "ap",
+                       std::to_string(request.ap.value()));
+  }
   if (span != obs::kNoSpan) {
     // The span closes when the caller learns the outcome, so its duration
     // is the full request→callback latency (stalls and all).
@@ -330,8 +336,10 @@ void Registry::do_request_grant(GrantRequest request, GrantCallback callback,
     // Reads still work; the commit waits for the stall to clear, then
     // pays the normal commit latency on top. The span stays open across
     // the stall — the replay must not open a second one.
-    obs::span_annotate(tracer_, span, "stalled",
-                       "commit deferred: registry commit stall");
+    if (span != obs::kNoSpan) {
+      obs::span_annotate(tracer_, span, "stalled",
+                         "commit deferred: registry commit stall");
+    }
     stalled_commits_.push_back([this, span, request = std::move(request),
                                 callback = std::move(callback)]() mutable {
       do_request_grant(std::move(request), std::move(callback), span);
@@ -387,12 +395,25 @@ std::size_t Registry::count_grants_near(Position location) const {
 
 registry::ZoneSnapshot Registry::zone_snapshot(std::int64_t zone) const {
   const_cast<Registry*>(this)->prune_expired();
-  auto ids = std::make_shared<std::vector<std::uint64_t>>();
+  // A snapshot also lists neighbouring zones' grants that reach in, so
+  // only a whole-index generation (not this zone's version) proves it
+  // still current.
+  SnapshotMemo& memo = snapshot_memo_[zone];
+  if (memo.snapshot != nullptr && memo.generation == index_.generation()) {
+    return memo.snapshot;
+  }
+  // Collect into a reused buffer, then store an exact-size copy: the
+  // memo keeps snapshots alive between changes, so no growth slack.
+  snapshot_scratch_.clear();
   index_.for_each_touching_zone(zone, [&](const registry::SiteEntry& entry) {
-    ids->push_back(entry.id);
+    snapshot_scratch_.push_back(entry.id);
   });
-  std::sort(ids->begin(), ids->end());
-  return ids;
+  std::sort(snapshot_scratch_.begin(), snapshot_scratch_.end());
+  ++snapshot_builds_;
+  memo = SnapshotMemo{index_.generation(),
+                      std::make_shared<const std::vector<std::uint64_t>>(
+                          snapshot_scratch_)};
+  return memo.snapshot;
 }
 
 Registry::ZoneOccupancy Registry::zone_occupancy(std::uint64_t requester,
@@ -425,7 +446,9 @@ void Registry::query_region(Position location, QueryCallback callback) {
 void Registry::query_region_as(std::uint64_t requester, Position location,
                                QueryCallback callback) {
   const obs::SpanId span =
-      obs::span_begin(tracer_, "registry_query", span_cat_);
+      tracer_ == nullptr
+          ? obs::kNoSpan
+          : obs::span_begin(tracer_, "registry_query", span_cat_);
   if (span != obs::kNoSpan) {
     callback = [this, span, cb = std::move(callback)](
                    std::vector<SpectrumGrant> grants) {
@@ -438,8 +461,10 @@ void Registry::query_region_as(std::uint64_t requester, Position location,
   if (!reachable_for(location)) {
     // The querier can't tell "no grants" from "registry down" — exactly
     // the blindness the fault model wants to expose.
-    obs::span_annotate(tracer_, span, "unreachable",
-                       "registry down: empty reply after timeout");
+    if (span != obs::kNoSpan) {
+      obs::span_annotate(tracer_, span, "unreachable",
+                         "registry down: empty reply after timeout");
+    }
     sim_.schedule(failure_timeout_, [callback = std::move(callback)] {
       callback({});
     });
@@ -463,9 +488,11 @@ void Registry::serve_query(std::uint64_t requester, Position location,
   const std::uint64_t version = zone_version(location);
   const registry::CacheLookup look =
       cache_->lookup(requester, zone, version, sim_.now());
-  if (look.snapshot != nullptr) {
+  if (span != obs::kNoSpan) {
     obs::span_annotate(tracer_, span, "cache",
                        registry::cache_tier_name(look.tier));
+  }
+  if (look.snapshot != nullptr) {
     sim_.schedule(
         cache_->tier_latency(look.tier),
         [this, location, snapshot = look.snapshot,
@@ -491,8 +518,6 @@ void Registry::serve_query(std::uint64_t requester, Position location,
         });
     return;
   }
-  obs::span_annotate(tracer_, span, "cache",
-                     registry::cache_tier_name(look.tier));
   const bool refill = look.tier == registry::CacheTier::kAuthoritative;
   sim_.schedule(latency.query, [this, requester, zone, location, refill,
                                 callback = std::move(callback)] {

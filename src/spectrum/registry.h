@@ -184,8 +184,16 @@ class Registry {
   // `location` — see registry::zone_key.
   [[nodiscard]] std::uint64_t zone_version(Position location) const;
   // Ids of all grants whose reach touches `zone`'s square, ascending —
-  // the snapshot the cache serves for that zone.
+  // the snapshot the cache serves for that zone. Memoized per zone and
+  // rebuilt only after the spatial index has changed (DESIGN.md §16), so
+  // repeat queries between grants, revokes and lapses cost O(1) and
+  // share one immutable snapshot with the cache.
   [[nodiscard]] registry::ZoneSnapshot zone_snapshot(std::int64_t zone) const;
+  // Snapshots zone_snapshot has actually built (memo misses) so far — a
+  // machine-independent cost counter, deliberately not a metric.
+  [[nodiscard]] std::uint64_t snapshot_builds() const {
+    return snapshot_builds_;
+  }
   // Synchronous occupancy probe through the cache hierarchy (the churn
   // storm's query op): how many grants touch the zone of `location`,
   // served from whichever tier answers. A cache serve reports the
@@ -301,6 +309,15 @@ class Registry {
   // Membership version per packed zone key (registry::zone_key); bumped
   // on grant/lapse/revoke so the cache can account staleness.
   std::unordered_map<std::int64_t, std::uint64_t> zone_versions_;
+  // Last snapshot built per queried zone, valid while the index stays at
+  // `generation`.
+  struct SnapshotMemo {
+    std::uint64_t generation{0};
+    registry::ZoneSnapshot snapshot;
+  };
+  mutable std::unordered_map<std::int64_t, SnapshotMemo> snapshot_memo_;
+  mutable std::vector<std::uint64_t> snapshot_scratch_;
+  mutable std::uint64_t snapshot_builds_{0};
   // WiFi BSS count per shared band, keyed by center frequency in hertz.
   std::map<std::int64_t, std::uint32_t> shared_bands_;
   std::vector<epc::PublishedKeys> published_;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 namespace dlte::registry {
@@ -133,6 +134,51 @@ TEST(SpatialIndex, TouchingZoneSnapshot) {
                                [&](const SiteEntry& e) { ids.push_back(e.id); });
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2}));
+}
+
+TEST(SpatialIndex, FarLongReachEntryDoesNotWidenTouchingScans) {
+  SpatialIndex index{kZone};
+  // A 7x7 block of zones around (0, 0), each holding one short-reach
+  // entry at its centre: only the 3x3 ring around a zone can touch it.
+  std::uint64_t id = 1;
+  for (int zx = -3; zx <= 3; ++zx) {
+    for (int zy = -3; zy <= 3; ++zy) {
+      index.insert(site(id++, (zx + 0.5) * kZone, (zy + 0.5) * kZone,
+                        1'000.0));
+    }
+  }
+  const auto scan = [&index](std::int64_t zone) {
+    const std::uint64_t before = index.zones_visited();
+    std::vector<std::uint64_t> ids;
+    index.for_each_touching_zone(
+        zone, [&](const SiteEntry& e) { ids.push_back(e.id); });
+    return std::make_pair(index.zones_visited() - before, ids.size());
+  };
+  const std::int64_t origin = zone_key_of(0, 0);
+  EXPECT_EQ(scan(origin), std::make_pair(std::uint64_t{9}, std::size_t{1}));
+
+  // One 150 km-reach entry far away raises the global scan radius past
+  // the whole block, but no zone of the block gains any reach: the
+  // origin's scan must still walk the same 9 zones.
+  index.insert(site(999, 40.5 * kZone, 40.5 * kZone, 150'000.0));
+  EXPECT_EQ(index.max_range_m(), 150'000.0);
+  EXPECT_EQ(scan(origin), std::make_pair(std::uint64_t{9}, std::size_t{1}));
+  // Where the long reach does arrive, its zone is walked and its entry
+  // found.
+  EXPECT_EQ(scan(zone_key_of(38, 40)),
+            std::make_pair(std::uint64_t{1}, std::size_t{1}));
+}
+
+TEST(SpatialIndex, GenerationMovesOnEveryChange) {
+  SpatialIndex index{kZone};
+  const std::uint64_t g0 = index.generation();
+  index.insert(site(1, 0.0, 0.0, 1'000.0));
+  const std::uint64_t g1 = index.generation();
+  EXPECT_NE(g1, g0);
+  EXPECT_FALSE(index.erase(2, Position{0.0, 0.0}));  // No change, no bump.
+  EXPECT_EQ(index.generation(), g1);
+  EXPECT_TRUE(index.erase(1, Position{0.0, 0.0}));
+  EXPECT_NE(index.generation(), g1);
 }
 
 TEST(SpatialIndex, VisitOrderIsDeterministic) {
