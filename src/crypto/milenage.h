@@ -32,25 +32,45 @@ class Milenage {
   // K is the subscriber secret key; opc the precomputed operator constant.
   Milenage(const Key128& k, const Block128& opc);
 
+  // TEMP = E_K(RAND xor OPc), the block every function below starts
+  // from. An AKA run computes it once per RAND and passes it to the
+  // Temp-taking forms; the RAND-taking forms recompute it per call.
+  struct Temp {
+    Block128 block;
+  };
+  [[nodiscard]] Temp temp(const Rand128& rand) const;
+
   struct F1Output {
     Mac64 mac_a;  // Network authentication code (f1).
     Mac64 mac_s;  // Resynchronisation code (f1*).
   };
-  [[nodiscard]] F1Output f1(const Rand128& rand, const Sqn48& sqn,
+  [[nodiscard]] F1Output f1(const Temp& temp, const Sqn48& sqn,
                             const Amf16& amf) const;
+  [[nodiscard]] F1Output f1(const Rand128& rand, const Sqn48& sqn,
+                            const Amf16& amf) const {
+    return f1(temp(rand), sqn, amf);
+  }
 
   struct F2F5Output {
     Res64 res;  // Expected user response (f2).
     Ak48 ak;    // Anonymity key (f5).
   };
-  [[nodiscard]] F2F5Output f2_f5(const Rand128& rand) const;
+  [[nodiscard]] F2F5Output f2_f5(const Temp& temp) const;
+  [[nodiscard]] F2F5Output f2_f5(const Rand128& rand) const {
+    return f2_f5(temp(rand));
+  }
 
-  [[nodiscard]] Ck128 f3(const Rand128& rand) const;  // Cipher key.
-  [[nodiscard]] Ik128 f4(const Rand128& rand) const;  // Integrity key.
-  [[nodiscard]] Ak48 f5_star(const Rand128& rand) const;  // Resync AK.
+  [[nodiscard]] Ck128 f3(const Temp& temp) const;  // Cipher key.
+  [[nodiscard]] Ck128 f3(const Rand128& rand) const { return f3(temp(rand)); }
+  [[nodiscard]] Ik128 f4(const Temp& temp) const;  // Integrity key.
+  [[nodiscard]] Ik128 f4(const Rand128& rand) const { return f4(temp(rand)); }
+  [[nodiscard]] Ak48 f5_star(const Temp& temp) const;  // Resync AK.
+  [[nodiscard]] Ak48 f5_star(const Rand128& rand) const {
+    return f5_star(temp(rand));
+  }
 
  private:
-  [[nodiscard]] Block128 out_block(const Rand128& rand, int rotate_bits,
+  [[nodiscard]] Block128 out_block(const Temp& temp, int rotate_bits,
                                    std::uint8_t c_last_byte) const;
 
   Aes128 cipher_;

@@ -82,7 +82,9 @@ Digest256 sha256(std::span<const std::uint8_t> data) {
   // Final padded block(s).
   std::uint8_t tail[128] = {};
   const std::size_t rem = data.size() - i;
-  std::memcpy(tail, data.data() + i, rem);
+  // An empty span may carry a null data(); memcpy's pointers must be
+  // valid even for a zero-length copy.
+  if (rem > 0) std::memcpy(tail, data.data() + i, rem);
   tail[rem] = 0x80;
   const std::size_t tail_len = rem + 9 <= 64 ? 64 : 128;
   const std::uint64_t bit_len = static_cast<std::uint64_t>(data.size()) * 8;
@@ -113,7 +115,7 @@ Digest256 hmac_sha256(std::span<const std::uint8_t> key,
   if (key.size() > 64) {
     const Digest256 kh = sha256(key);
     std::memcpy(k_block.data(), kh.data(), kh.size());
-  } else {
+  } else if (!key.empty()) {
     std::memcpy(k_block.data(), key.data(), key.size());
   }
   std::vector<std::uint8_t> inner;

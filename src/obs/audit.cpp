@@ -74,26 +74,42 @@ std::uint64_t MessageLedger::messages_total() const {
 }
 
 MultisetDigest digest_registry(const MetricsRegistry& registry) {
+  return RegistryDigester{registry}.digest();
+}
+
+MultisetDigest RegistryDigester::digest() {
+  if (epoch_ != registry_.epoch()) {
+    name_hashes_.clear();
+    epoch_ = registry_.epoch();
+  }
+  const std::vector<InstrumentRef>& index = registry_.index();
+  for (std::size_t i = name_hashes_.size(); i < index.size(); ++i) {
+    const std::string& name = *index[i].name;
+    name_hashes_.push_back(fnv_bytes(name.data(), name.size()));
+  }
   MultisetDigest digest;
-  for (const auto& [name, counter] : registry.counters()) {
-    std::uint64_t h = fnv_bytes(name.data(), name.size());
-    h = fnv_mix(h, 'c');
-    h = fnv_mix(h, counter.value());
-    digest.add(h);
-  }
-  for (const auto& [name, gauge] : registry.gauges()) {
-    std::uint64_t h = fnv_bytes(name.data(), name.size());
-    h = fnv_mix(h, 'g');
-    h = fnv_mix(h, double_bits(gauge.value()));
-    digest.add(h);
-  }
-  for (const auto& [name, histogram] : registry.histograms()) {
-    std::uint64_t h = fnv_bytes(name.data(), name.size());
-    h = fnv_mix(h, 'h');
-    h = fnv_mix(h, histogram.count());
-    h = fnv_mix(h, double_bits(histogram.sum()));
-    h = fnv_mix(h, double_bits(histogram.min()));
-    h = fnv_mix(h, double_bits(histogram.max()));
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    const InstrumentRef& ref = index[i];
+    std::uint64_t h = name_hashes_[i];
+    switch (ref.kind) {
+      case InstrumentKind::kCounter:
+        h = fnv_mix(h, 'c');
+        h = fnv_mix(h, ref.counter().value());
+        break;
+      case InstrumentKind::kGauge:
+        h = fnv_mix(h, 'g');
+        h = fnv_mix(h, double_bits(ref.gauge().value()));
+        break;
+      case InstrumentKind::kHistogram: {
+        const Histogram& histogram = ref.histogram();
+        h = fnv_mix(h, 'h');
+        h = fnv_mix(h, histogram.count());
+        h = fnv_mix(h, double_bits(histogram.sum()));
+        h = fnv_mix(h, double_bits(histogram.min()));
+        h = fnv_mix(h, double_bits(histogram.max()));
+        break;
+      }
+    }
     digest.add(h);
   }
   return digest;

@@ -237,6 +237,26 @@ class MessageLedger {
 // serializing a snapshot per window.
 [[nodiscard]] MultisetDigest digest_registry(const MetricsRegistry& registry);
 
+// digest_registry for a registry sealed again and again (the sharded
+// runtime's per-window metric digest, DESIGN.md §15). It walks the
+// registry's creation-order index and hashes each instrument name once,
+// when the instrument first appears; a seal then folds only the cached
+// name hash with the type tag and value words. MultisetDigest ignores
+// order, so this equals the sorted-map walk. A registry clear() drops
+// the cached hashes.
+class RegistryDigester {
+ public:
+  explicit RegistryDigester(const MetricsRegistry& registry)
+      : registry_(registry), epoch_(registry.epoch()) {}
+
+  [[nodiscard]] MultisetDigest digest();
+
+ private:
+  const MetricsRegistry& registry_;
+  std::vector<std::uint64_t> name_hashes_;  // Parallel to registry_.index().
+  std::uint64_t epoch_;
+};
+
 // ---- The assembled document ------------------------------------------
 
 // Plain data, built once after a run; audit_export.h serializes it.

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace dlte::obs {
 
@@ -111,10 +112,38 @@ class Histogram {
   double max_{0.0};
 };
 
+enum class InstrumentKind : std::uint8_t { kCounter, kGauge, kHistogram };
+
+// One entry of a registry's creation-order instrument index: which map
+// the instrument lives in, its name (the map key), and the instrument
+// itself, read through the accessor that matches `kind`.
+struct InstrumentRef {
+  InstrumentKind kind{InstrumentKind::kCounter};
+  const std::string* name{nullptr};
+  const void* instrument{nullptr};
+
+  [[nodiscard]] const Counter& counter() const {
+    return *static_cast<const Counter*>(instrument);
+  }
+  [[nodiscard]] const Gauge& gauge() const {
+    return *static_cast<const Gauge*>(instrument);
+  }
+  [[nodiscard]] const Histogram& histogram() const {
+    return *static_cast<const Histogram*>(instrument);
+  }
+};
+
 // Named metrics, get-or-create by name. References returned are stable
 // for the registry's lifetime (node-based storage), so hot paths cache
 // the pointer once and skip the name lookup thereafter. Iteration order
 // is the sorted name order, which is what makes snapshots deterministic.
+//
+// Next to the name-keyed maps the registry keeps an append-only index of
+// its instruments in creation order (DESIGN.md §10). Consumers that visit
+// every instrument on a cadence — the series sampler, the audit seal —
+// extend per-instrument state from the index tail instead of re-walking
+// the maps by name; clear() empties the index and bumps epoch(), which
+// tells them to rebuild.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -122,13 +151,28 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   [[nodiscard]] Counter& counter(const std::string& name) {
-    return counters_[name];
+    const auto [it, inserted] = counters_.try_emplace(name);
+    if (inserted) {
+      index_.push_back(
+          InstrumentRef{InstrumentKind::kCounter, &it->first, &it->second});
+    }
+    return it->second;
   }
   [[nodiscard]] Gauge& gauge(const std::string& name) {
-    return gauges_[name];
+    const auto [it, inserted] = gauges_.try_emplace(name);
+    if (inserted) {
+      index_.push_back(
+          InstrumentRef{InstrumentKind::kGauge, &it->first, &it->second});
+    }
+    return it->second;
   }
   [[nodiscard]] Histogram& histogram(const std::string& name) {
-    return histograms_[name];
+    const auto [it, inserted] = histograms_.try_emplace(name);
+    if (inserted) {
+      index_.push_back(InstrumentRef{InstrumentKind::kHistogram, &it->first,
+                                     &it->second});
+    }
+    return it->second;
   }
 
   [[nodiscard]] const Counter* find_counter(const std::string& name) const;
@@ -146,20 +190,30 @@ class MetricsRegistry {
     return histograms_;
   }
 
-  [[nodiscard]] std::size_t size() const {
-    return counters_.size() + gauges_.size() + histograms_.size();
+  // Every instrument in creation order; entries are never reordered or
+  // removed except by clear().
+  [[nodiscard]] const std::vector<InstrumentRef>& index() const {
+    return index_;
   }
+  // Bumped by every clear(): index positions from an older epoch are void.
+  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
+
+  [[nodiscard]] std::size_t size() const { return index_.size(); }
 
   void clear() {
     counters_.clear();
     gauges_.clear();
     histograms_.clear();
+    index_.clear();
+    ++epoch_;
   }
 
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
+  std::vector<InstrumentRef> index_;
+  std::uint64_t epoch_{0};
 };
 
 // Null-tolerant helpers: instrumented components hold metric pointers

@@ -22,6 +22,7 @@
 #include <deque>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/time.h"
 #include "obs/metrics.h"
@@ -84,6 +85,13 @@ struct SamplerConfig {
   std::size_t capacity{4096};
 };
 
+// Samples by handle: one tap per registry instrument holds the resolved
+// target series (and a counter's previous value), built from the
+// registry's creation-order index (DESIGN.md §10). A name is resolved
+// once, at the first sample after its instrument appears; a steady-state
+// sample does no lookups and builds no strings. A registry clear()
+// re-resolves every tap, carrying counter values by name so rates run on
+// across it.
 class TimeSeriesSampler {
  public:
   explicit TimeSeriesSampler(const MetricsRegistry& registry,
@@ -102,17 +110,61 @@ class TimeSeriesSampler {
     return series_;
   }
   [[nodiscard]] const TimeSeries* find(const std::string& name) const;
+  // Instruments whose series were looked up by name so far: one per
+  // instrument per registry epoch, never one per sample.
+  [[nodiscard]] std::uint64_t names_resolved() const {
+    return names_resolved_;
+  }
 
  private:
-  TimeSeries& get(const std::string& name, SeriesKind kind);
+  using SeriesEntry = std::map<std::string, TimeSeries>::value_type;
+
+  // `name` orders the taps. A counter's points at its value series' key
+  // (the same string, owned here), so it survives a registry clear() for
+  // the carry; the others point at the registry's key.
+  struct CounterTap {
+    const std::string* name{nullptr};
+    const Counter* counter{nullptr};
+    TimeSeries* value{nullptr};
+    TimeSeries* rate{nullptr};
+    std::uint64_t last{0};
+    bool has_last{false};
+  };
+  struct GaugeTap {
+    const std::string* name{nullptr};
+    const Gauge* gauge{nullptr};
+    TimeSeries* value{nullptr};
+  };
+  struct HistogramTap {
+    const std::string* name{nullptr};
+    const Histogram* histogram{nullptr};
+    TimeSeries* count{nullptr};
+    TimeSeries* p50{nullptr};
+    TimeSeries* p95{nullptr};
+    TimeSeries* p99{nullptr};
+  };
+
+  SeriesEntry& get(const std::string& name, SeriesKind kind);
+  // Tap the instruments created since the last sample (all of them after
+  // a clear()).
+  void sync_taps();
 
   const MetricsRegistry& registry_;
   SamplerConfig config_;
   std::map<std::string, TimeSeries> series_;
-  // Previous cumulative counter values, for rate derivation.
-  std::map<std::string, std::uint64_t> last_counters_;
+  // Each kind's taps sorted by name: the order the name-keyed walk
+  // visited them in, so two instruments feeding one series name push in
+  // the same order as ever.
+  std::vector<CounterTap> counter_taps_;
+  std::vector<GaugeTap> gauge_taps_;
+  std::vector<HistogramTap> histogram_taps_;
+  std::size_t tapped_{0};  // Registry index entries already tapped.
+  std::uint64_t epoch_{0};
+  // Counter values at the last sample before a registry clear(), by name.
+  std::map<std::string, std::uint64_t> carried_;
   double last_t_s_{0.0};
   std::uint64_t samples_{0};
+  std::uint64_t names_resolved_{0};
 };
 
 }  // namespace dlte::obs

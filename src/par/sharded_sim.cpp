@@ -275,14 +275,15 @@ void ShardedSimulator::emit_samples(TimePoint up_to) {
 }
 
 void ShardedSimulator::audit_tick(TimePoint end) {
-  if (!config_.audit) return;
+  if (!config_.audit || next_audit_boundary_ > end) return;
+  // Every window this barrier seals sees the same registry state.
+  obs::MultisetDigest digest;
+  for (const auto& shard : shards_) digest.merge(shard->digester.digest());
   while (next_audit_boundary_ <= end) {
     obs::AuditDoc::MetricWindow window;
     window.index = next_audit_boundary_.ns() / config_.audit_window.ns() - 1;
     window.t_ns = end.ns();
-    for (const auto& shard : shards_) {
-      window.digest.merge(obs::digest_registry(shard->domain));
-    }
+    window.digest = digest;
     metric_windows_.push_back(window);
     next_audit_boundary_ = next_audit_boundary_ + config_.audit_window;
   }

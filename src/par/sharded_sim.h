@@ -215,6 +215,8 @@ class ShardedSimulator {
   struct Shard {
     sim::Simulator sim;
     obs::MetricsRegistry domain;
+    // Seals `domain` at audit windows (config_.audit only).
+    obs::RegistryDigester digester{domain};
     std::unique_ptr<obs::TimeSeriesSampler> sampler;
     std::vector<Message> outbox;
     // Per-source post counters (sources owned by this shard only).

@@ -96,14 +96,7 @@ void Simulator::every(Duration period, Action action) {
 }
 
 void Simulator::every(Duration period, Action action, std::uint32_t label) {
-  // The lambda reschedules itself; capturing `this` is safe because events
-  // cannot outlive the simulator that owns the queue.
-  auto wrapper = std::make_shared<Action>();
-  *wrapper = [this, period, label, action = std::move(action), wrapper]() {
-    action();
-    schedule(period, *wrapper, label);
-  };
-  schedule(period, *wrapper, label);
+  schedule_tick(add_periodic(period, std::move(action), label, nullptr));
 }
 
 Simulator::PeriodicHandle Simulator::every_cancellable(Duration period,
@@ -115,15 +108,44 @@ Simulator::PeriodicHandle Simulator::every_cancellable(Duration period,
                                                        Action action,
                                                        std::uint32_t label) {
   auto alive = std::make_shared<bool>(true);
-  auto wrapper = std::make_shared<Action>();
-  *wrapper = [this, period, label, alive, action = std::move(action),
-              wrapper]() {
-    if (!*alive) return;  // Cancelled: stop rescheduling, never call back.
-    action();
-    if (*alive) schedule(period, *wrapper, label);
-  };
-  schedule(period, *wrapper, label);
+  schedule_tick(add_periodic(period, std::move(action), label, alive));
   return PeriodicHandle{std::move(alive)};
+}
+
+Simulator::Periodic& Simulator::add_periodic(Duration period, Action action,
+                                             std::uint32_t label,
+                                             std::shared_ptr<bool> alive) {
+  Periodic* slot = nullptr;
+  if (free_periodics_.empty()) {
+    slot = &periodics_.emplace_back();
+  } else {
+    slot = free_periodics_.back();
+    free_periodics_.pop_back();
+  }
+  *slot = Periodic{period, label, std::move(action), std::move(alive)};
+  return *slot;
+}
+
+void Simulator::schedule_tick(Periodic& slot) {
+  Periodic* p = &slot;
+  schedule(slot.period, [this, p] { run_tick(*p); }, slot.label);
+}
+
+void Simulator::run_tick(Periodic& slot) {
+  const auto running = [&slot] {
+    return slot.alive == nullptr || *slot.alive;
+  };
+  if (running()) {
+    slot.action();
+    if (running()) {
+      schedule_tick(slot);
+      return;
+    }
+  }
+  // Cancelled, before or during this tick: never call back again. No tick
+  // of this slot is queued any more, so free it for reuse.
+  slot = Periodic{};
+  free_periodics_.push_back(&slot);
 }
 
 void Simulator::run_until(TimePoint deadline) {

@@ -12,9 +12,11 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/time.h"
 #include "obs/audit.h"
@@ -142,6 +144,23 @@ class Simulator {
   }
 
  private:
+  // One periodic process. Slots live in a deque, so their addresses stay
+  // put, and are owned by the simulator: the queued tick captures only
+  // {this, slot}, which fits std::function's small buffer — no closure
+  // copy per tick, and no closure that owns itself (the old
+  // self-capturing shared_ptr was never freed). A cancelled slot is
+  // recycled once its last queued tick has fired.
+  struct Periodic {
+    Duration period;
+    std::uint32_t label{obs::kUnlabeledEvent};
+    Action action;
+    std::shared_ptr<bool> alive;  // Null for every(): runs forever.
+  };
+  Periodic& add_periodic(Duration period, Action action, std::uint32_t label,
+                         std::shared_ptr<bool> alive);
+  void schedule_tick(Periodic& slot);
+  void run_tick(Periodic& slot);
+
   void flush_metrics();
 
   // mutable: peek caches a scan cursor; logically const.
@@ -165,6 +184,9 @@ class Simulator {
   std::uint64_t events_flushed_{0};
   std::uint64_t past_flushed_{0};
   std::uint64_t resizes_flushed_{0};
+
+  std::deque<Periodic> periodics_;
+  std::vector<Periodic*> free_periodics_;
 };
 
 }  // namespace dlte::sim

@@ -87,6 +87,21 @@ TEST(Milenage, F5StarResyncKey) {
   EXPECT_EQ(to_hex(m.f5_star(t.rand)), "451e8beca43b");
 }
 
+// The TEMP-taking forms an AKA run uses (TEMP computed once per RAND)
+// reproduce the same Test Set 1 outputs.
+TEST(Milenage, TempFormsMatchTestSet1) {
+  TestSet1 t;
+  Milenage m{t.k, derive_opc(t.k, t.op)};
+  const Milenage::Temp temp = m.temp(t.rand);
+  EXPECT_EQ(to_hex(m.f1(temp, t.sqn, t.amf).mac_a), "4a9ffac354dfafb3");
+  EXPECT_EQ(to_hex(m.f1(temp, t.sqn, t.amf).mac_s), "01cfaf9ec4e871e9");
+  EXPECT_EQ(to_hex(m.f2_f5(temp).res), "a54211d5e3ba50bf");
+  EXPECT_EQ(to_hex(m.f2_f5(temp).ak), "aa689c648370");
+  EXPECT_EQ(to_hex(m.f3(temp)), "b40ba9a3c58b2a05bbf0d987b21bf8cb");
+  EXPECT_EQ(to_hex(m.f4(temp)), "f769bcd751044604127672711c6d3441");
+  EXPECT_EQ(to_hex(m.f5_star(temp)), "451e8beca43b");
+}
+
 // The mutual-authentication property dLTE's open-key mode rests on: any
 // party holding (K, OPc) — e.g. an AP that fetched published keys from
 // the registry — computes the same vector the USIM expects.

@@ -203,6 +203,34 @@ TEST(RegistryDigest, SeesValueTypeAndNameChanges) {
   EXPECT_EQ(digest_registry(MetricsRegistry{}).count, 0u);
 }
 
+TEST(RegistryDigest, CachedSealMatchesOneShotThroughGrowthAndClear) {
+  // The sharded runtime seals each shard's registry through a
+  // RegistryDigester that hashes names once; every seal must equal a
+  // fresh one-shot digest of the same state.
+  MetricsRegistry reg;
+  RegistryDigester sealer{reg};
+  EXPECT_EQ(sealer.digest(), digest_registry(reg));
+  Counter& attaches = reg.counter("ap.1.attaches");
+  reg.gauge("ap.1.load").set(0.5);
+  for (int i = 0; i < 20; ++i) {
+    reg.histogram("ap." + std::to_string(i) + ".rtt").record(1.0 + i);
+    attaches.inc();
+    reg.gauge("ap.1.load").add(0.25);
+    EXPECT_EQ(sealer.digest(), digest_registry(reg)) << "step " << i;
+  }
+  EXPECT_EQ(sealer.digest().count, 22u);
+
+  reg.clear();
+  EXPECT_EQ(sealer.digest(), digest_registry(reg));
+  EXPECT_EQ(sealer.digest().count, 0u);
+  // As many instruments as before the clear, under other names: cached
+  // hashes from before it would alias them.
+  for (int i = 0; i < 22; ++i) {
+    reg.counter("ap." + std::to_string(i + 100) + ".attaches").inc(i);
+  }
+  EXPECT_EQ(sealer.digest(), digest_registry(reg));
+}
+
 TEST(AuditDoc, EmptyShardsFoldAsIdentity) {
   // A shard that executed nothing must not perturb the merged section —
   // the same neutrality EventProfiler::merge_from grants an empty

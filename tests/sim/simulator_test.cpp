@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 namespace dlte::sim {
@@ -101,6 +102,58 @@ TEST(Simulator, PeriodicProcessFiresRepeatedly) {
   s.every(Duration::millis(10), [&] { ++ticks; });
   s.run_until(TimePoint::from_ns(0) + Duration::millis(95));
   EXPECT_EQ(ticks, 9);
+}
+
+TEST(Simulator, PeriodicActionsAreFreedWithTheSimulator) {
+  // A periodic action's captures must die with the simulator: the
+  // periodic process may not own itself.
+  auto forever = std::make_shared<int>(0);
+  auto cancelled = std::make_shared<int>(0);
+  auto pending = std::make_shared<int>(0);
+  const std::weak_ptr<int> forever_ref = forever;
+  const std::weak_ptr<int> cancelled_ref = cancelled;
+  const std::weak_ptr<int> pending_ref = pending;
+  {
+    Simulator s;
+    s.every(Duration::millis(10), [forever] { ++*forever; });
+    auto handle = s.every_cancellable(Duration::millis(10),
+                                      [cancelled] { ++*cancelled; });
+    // Cancelled while its next tick is still queued at teardown.
+    auto late = s.every_cancellable(Duration::millis(1000),
+                                    [pending] { ++*pending; });
+    s.run_until(TimePoint{} + Duration::millis(35));
+    handle.cancel();
+    late.cancel();
+    s.run_until(TimePoint{} + Duration::millis(95));
+    EXPECT_EQ(*forever, 9);
+    EXPECT_EQ(*cancelled, 3);
+    EXPECT_EQ(*pending, 0);
+    forever.reset();
+    cancelled.reset();
+    pending.reset();
+    EXPECT_FALSE(forever_ref.expired());  // Still running.
+    EXPECT_TRUE(cancelled_ref.expired());  // Its last tick has fired.
+    EXPECT_FALSE(pending_ref.expired());   // Its last tick is queued.
+  }
+  EXPECT_TRUE(forever_ref.expired());
+  EXPECT_TRUE(pending_ref.expired());
+}
+
+TEST(Simulator, CancelledPeriodicSlotIsReusedCleanly) {
+  Simulator s;
+  int old_ticks = 0;
+  int new_ticks = 0;
+  auto handle =
+      s.every_cancellable(Duration::millis(10), [&] { ++old_ticks; });
+  s.run_until(TimePoint{} + Duration::millis(25));
+  handle.cancel();
+  s.run_until(TimePoint{} + Duration::millis(35));  // Dead tick fires.
+  // A new periodic (which may take the freed slot) keeps its own period
+  // and never runs the old action.
+  auto next = s.every_cancellable(Duration::millis(7), [&] { ++new_ticks; });
+  s.run_until(TimePoint{} + Duration::millis(70));
+  EXPECT_EQ(old_ticks, 2);
+  EXPECT_EQ(new_ticks, 5);
 }
 
 TEST(Simulator, RunUntilAdvancesClockEvenWithoutEvents) {
