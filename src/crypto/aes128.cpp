@@ -1,8 +1,17 @@
 #include "crypto/aes128.h"
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
+#include "crypto/kernels.h"
+
 namespace dlte::crypto {
 
 namespace {
+
+using kernels::AesRoundKeys;
 
 constexpr std::uint8_t kSbox[256] = {
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b,
@@ -36,35 +45,40 @@ std::uint8_t xtime(std::uint8_t a) {
   return static_cast<std::uint8_t>((a << 1) ^ ((a & 0x80) ? 0x1b : 0x00));
 }
 
-}  // namespace
-
-Aes128::Aes128(const Key128& key) {
-  for (int i = 0; i < 16; ++i) round_keys_[static_cast<std::size_t>(i)] = key[static_cast<std::size_t>(i)];
+void expand_key_portable(const Key128& key, AesRoundKeys& round_keys) {
+  for (int i = 0; i < 16; ++i) {
+    round_keys[static_cast<std::size_t>(i)] = key[static_cast<std::size_t>(i)];
+  }
   for (int round = 1; round <= 10; ++round) {
     const std::size_t base = static_cast<std::size_t>(round) * 16;
     // RotWord + SubWord + Rcon on the previous word.
-    std::uint8_t t0 = kSbox[round_keys_[base - 3]];
-    std::uint8_t t1 = kSbox[round_keys_[base - 2]];
-    std::uint8_t t2 = kSbox[round_keys_[base - 1]];
-    std::uint8_t t3 = kSbox[round_keys_[base - 4]];
+    std::uint8_t t0 = kSbox[round_keys[base - 3]];
+    std::uint8_t t1 = kSbox[round_keys[base - 2]];
+    std::uint8_t t2 = kSbox[round_keys[base - 1]];
+    std::uint8_t t3 = kSbox[round_keys[base - 4]];
     t0 = static_cast<std::uint8_t>(t0 ^ kRcon[round - 1]);
-    round_keys_[base + 0] = static_cast<std::uint8_t>(round_keys_[base - 16] ^ t0);
-    round_keys_[base + 1] = static_cast<std::uint8_t>(round_keys_[base - 15] ^ t1);
-    round_keys_[base + 2] = static_cast<std::uint8_t>(round_keys_[base - 14] ^ t2);
-    round_keys_[base + 3] = static_cast<std::uint8_t>(round_keys_[base - 13] ^ t3);
+    round_keys[base + 0] =
+        static_cast<std::uint8_t>(round_keys[base - 16] ^ t0);
+    round_keys[base + 1] =
+        static_cast<std::uint8_t>(round_keys[base - 15] ^ t1);
+    round_keys[base + 2] =
+        static_cast<std::uint8_t>(round_keys[base - 14] ^ t2);
+    round_keys[base + 3] =
+        static_cast<std::uint8_t>(round_keys[base - 13] ^ t3);
     for (std::size_t i = 4; i < 16; ++i) {
-      round_keys_[base + i] =
-          static_cast<std::uint8_t>(round_keys_[base + i - 4] ^
-                                    round_keys_[base + i - 16]);
+      round_keys[base + i] =
+          static_cast<std::uint8_t>(round_keys[base + i - 4] ^
+                                    round_keys[base + i - 16]);
     }
   }
 }
 
-Block128 Aes128::encrypt(const Block128& plaintext) const {
+Block128 encrypt_portable(const AesRoundKeys& round_keys,
+                          const Block128& plaintext) {
   Block128 s = plaintext;
   auto add_round_key = [&](int round) {
     const std::size_t base = static_cast<std::size_t>(round) * 16;
-    for (std::size_t i = 0; i < 16; ++i) s[i] ^= round_keys_[base + i];
+    for (std::size_t i = 0; i < 16; ++i) s[i] ^= round_keys[base + i];
   };
   auto sub_bytes = [&] {
     for (auto& b : s) b = kSbox[b];
@@ -107,6 +121,99 @@ Block128 Aes128::encrypt(const Block128& plaintext) const {
   shift_rows();
   add_round_key(10);
   return s;
+}
+
+#if defined(__x86_64__)
+
+// AES-NI kernels. The round keys are stored with unaligned moves, in the
+// byte order the portable expansion writes, so both paths share one
+// round-key layout.
+__attribute__((target("aes"))) __m128i next_round_key(__m128i key,
+                                                      __m128i assist) {
+  // assist's top word is SubWord(RotWord(w3)) ^ Rcon; fold in the
+  // running XOR of the previous round key's words.
+  assist = _mm_shuffle_epi32(assist, 0xff);
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  return _mm_xor_si128(key, assist);
+}
+
+__attribute__((target("aes"))) void expand_key_ni(const Key128& key,
+                                                  AesRoundKeys& round_keys) {
+  __m128i k[11];
+  k[0] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key.data()));
+  // The round constant is an immediate operand, so the rounds are unrolled.
+  k[1] = next_round_key(k[0], _mm_aeskeygenassist_si128(k[0], 0x01));
+  k[2] = next_round_key(k[1], _mm_aeskeygenassist_si128(k[1], 0x02));
+  k[3] = next_round_key(k[2], _mm_aeskeygenassist_si128(k[2], 0x04));
+  k[4] = next_round_key(k[3], _mm_aeskeygenassist_si128(k[3], 0x08));
+  k[5] = next_round_key(k[4], _mm_aeskeygenassist_si128(k[4], 0x10));
+  k[6] = next_round_key(k[5], _mm_aeskeygenassist_si128(k[5], 0x20));
+  k[7] = next_round_key(k[6], _mm_aeskeygenassist_si128(k[6], 0x40));
+  k[8] = next_round_key(k[7], _mm_aeskeygenassist_si128(k[7], 0x80));
+  k[9] = next_round_key(k[8], _mm_aeskeygenassist_si128(k[8], 0x1b));
+  k[10] = next_round_key(k[9], _mm_aeskeygenassist_si128(k[9], 0x36));
+  for (int round = 0; round <= 10; ++round) {
+    _mm_storeu_si128(
+        reinterpret_cast<__m128i*>(round_keys.data() + round * 16), k[round]);
+  }
+}
+
+__attribute__((target("aes"))) Block128 encrypt_ni(
+    const AesRoundKeys& round_keys, const Block128& plaintext) {
+  const auto* rk = reinterpret_cast<const __m128i*>(round_keys.data());
+  __m128i s =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(plaintext.data()));
+  s = _mm_xor_si128(s, _mm_loadu_si128(rk));
+  for (int round = 1; round <= 9; ++round) {
+    s = _mm_aesenc_si128(s, _mm_loadu_si128(rk + round));
+  }
+  s = _mm_aesenclast_si128(s, _mm_loadu_si128(rk + 10));
+  Block128 out;
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out.data()), s);
+  return out;
+}
+
+constexpr kernels::AesKernel kAesNi{expand_key_ni, encrypt_ni};
+
+bool cpu_has_aes_ni() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ecx & (1u << 25)) != 0;  // CPUID.1:ECX.AES
+}
+
+#endif  // defined(__x86_64__)
+
+// The process's kernel, chosen on first use.
+const kernels::AesKernel& active_aes() {
+  const kernels::AesKernel* hardware = kernels::aes_ni();
+  return hardware != nullptr ? *hardware : kernels::kPortableAes;
+}
+
+}  // namespace
+
+namespace kernels {
+
+const AesKernel kPortableAes{expand_key_portable, encrypt_portable};
+
+const AesKernel* aes_ni() {
+#if defined(__x86_64__)
+  static const bool present = cpu_has_aes_ni();
+  return present ? &kAesNi : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+}  // namespace kernels
+
+Aes128::Aes128(const Key128& key) {
+  active_aes().expand_key(key, round_keys_);
+}
+
+Block128 Aes128::encrypt(const Block128& plaintext) const {
+  return active_aes().encrypt(round_keys_, plaintext);
 }
 
 Block128 xor_blocks(const Block128& a, const Block128& b) {

@@ -2,8 +2,11 @@
 //
 // Milenage (the 3GPP authentication-and-key-agreement kernel) is defined
 // purely in terms of AES-128 encryption, so decryption is intentionally
-// not implemented. This is a straightforward table-based implementation;
-// side-channel hardening is out of scope for a simulator.
+// not implemented. On x86-64 CPUs with AES-NI the key schedule and the
+// rounds run on those instructions; elsewhere a byte-wise table-based
+// implementation runs, which is also the tests' reference (crypto/kernels.h).
+// Both give identical round keys and ciphertext. Side-channel hardening is
+// out of scope for a simulator.
 #pragma once
 
 #include <array>

@@ -1,6 +1,14 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
+#include "crypto/kernels.h"
 
 namespace dlte::crypto {
 
@@ -23,94 +31,204 @@ std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
-struct Sha256State {
-  std::uint32_t h[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-                        0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-
-  void process_block(const std::uint8_t* p) {
-    std::uint32_t w[64];
-    for (int i = 0; i < 16; ++i) {
-      w[i] = (static_cast<std::uint32_t>(p[i * 4]) << 24) |
-             (static_cast<std::uint32_t>(p[i * 4 + 1]) << 16) |
-             (static_cast<std::uint32_t>(p[i * 4 + 2]) << 8) |
-             static_cast<std::uint32_t>(p[i * 4 + 3]);
-    }
-    for (int i = 16; i < 64; ++i) {
-      const std::uint32_t s0 =
-          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-      const std::uint32_t s1 =
-          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
-    std::uint32_t a = h[0], b = h[1], c = h[2], d = h[3];
-    std::uint32_t e = h[4], f = h[5], g = h[6], hh = h[7];
-    for (int i = 0; i < 64; ++i) {
-      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-      const std::uint32_t ch = (e & f) ^ (~e & g);
-      const std::uint32_t t1 = hh + s1 + ch + kK[i] + w[i];
-      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-      const std::uint32_t t2 = s0 + maj;
-      hh = g;
-      g = f;
-      f = e;
-      e = d + t1;
-      d = c;
-      c = b;
-      b = a;
-      a = t1 + t2;
-    }
-    h[0] += a;
-    h[1] += b;
-    h[2] += c;
-    h[3] += d;
-    h[4] += e;
-    h[5] += f;
-    h[6] += g;
-    h[7] += hh;
+void process_block(std::uint32_t* h, const std::uint8_t* p) {
+  std::uint32_t w[64];
+  for (int i = 0; i < 16; ++i) {
+    w[i] = (static_cast<std::uint32_t>(p[i * 4]) << 24) |
+           (static_cast<std::uint32_t>(p[i * 4 + 1]) << 16) |
+           (static_cast<std::uint32_t>(p[i * 4 + 2]) << 8) |
+           static_cast<std::uint32_t>(p[i * 4 + 3]);
   }
-};
+  for (int i = 16; i < 64; ++i) {
+    const std::uint32_t s0 =
+        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+    const std::uint32_t s1 =
+        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+  }
+  std::uint32_t a = h[0], b = h[1], c = h[2], d = h[3];
+  std::uint32_t e = h[4], f = h[5], g = h[6], hh = h[7];
+  for (int i = 0; i < 64; ++i) {
+    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+    const std::uint32_t ch = (e & f) ^ (~e & g);
+    const std::uint32_t t1 = hh + s1 + ch + kK[i] + w[i];
+    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+    const std::uint32_t t2 = s0 + maj;
+    hh = g;
+    g = f;
+    f = e;
+    e = d + t1;
+    d = c;
+    c = b;
+    b = a;
+    a = t1 + t2;
+  }
+  h[0] += a;
+  h[1] += b;
+  h[2] += c;
+  h[3] += d;
+  h[4] += e;
+  h[5] += f;
+  h[6] += g;
+  h[7] += hh;
+}
+
+#if defined(__x86_64__)
+
+// Four rounds on SHA-NI: add the round constants K[4g..4g+3] to the four
+// schedule words in `w`, then two two-round steps.
+__attribute__((target("sha,sse4.1,ssse3"))) inline void rounds4_ni(
+    __m128i& abef, __m128i& cdgh, __m128i w, int group) {
+  const __m128i wk = _mm_add_epi32(
+      w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + group * 4)));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+}
+
+// SHA-NI keeps the state as (A,B,E,F) and (C,D,G,H) vectors; h[8] is
+// converted in and out once per call, so the layout callers see is the
+// portable one.
+__attribute__((target("sha,sse4.1,ssse3"))) void compress_ni(
+    std::uint32_t* h, const std::uint8_t* blocks, std::size_t count) {
+  // Big-endian message words into little-endian lanes.
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i dcba = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(h)), 0xb1);
+  const __m128i hgfe = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(h + 4)), 0x1b);
+  __m128i abef = _mm_alignr_epi8(dcba, hgfe, 8);
+  __m128i cdgh = _mm_blend_epi16(hgfe, dcba, 0xf0);
+  for (std::size_t b = 0; b < count; ++b, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // w[g % 4] holds schedule words 4g..4g+3 once group g is computed;
+    // group g >= 4 expands from the four groups before it.
+    __m128i w[4];
+    for (int g = 0; g < 4; ++g) {
+      w[g] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + g * 16)),
+          bswap);
+      rounds4_ni(abef, cdgh, w[g], g);
+    }
+    for (int g = 4; g < 16; ++g) {
+      const __m128i prev = w[(g + 3) % 4];
+      const __m128i w7 = _mm_alignr_epi8(prev, w[(g + 2) % 4], 4);
+      w[g % 4] = _mm_sha256msg2_epu32(
+          _mm_add_epi32(_mm_sha256msg1_epu32(w[g % 4], w[(g + 1) % 4]), w7),
+          prev);
+      rounds4_ni(abef, cdgh, w[g % 4], g);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(h),
+                   _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(h + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool cpu_has_sha_ni() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool ssse3 = (ecx & (1u << 9)) != 0;   // CPUID.1:ECX.SSSE3
+  const bool sse41 = (ecx & (1u << 19)) != 0;  // CPUID.1:ECX.SSE4_1
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sha = (ebx & (1u << 29)) != 0;  // CPUID.(7,0):EBX.SHA
+  return ssse3 && sse41 && sha;
+}
+
+#endif  // defined(__x86_64__)
+
+// The process's compressor, chosen on first use.
+Sha256Compress active_compress() {
+  const Sha256Compress hardware = kernels::sha_ni();
+  return hardware != nullptr ? hardware : kernels::sha256_compress_portable;
+}
 
 }  // namespace
 
-Digest256 sha256(std::span<const std::uint8_t> data) {
-  Sha256State st;
-  std::size_t i = 0;
-  for (; i + 64 <= data.size(); i += 64) {
-    st.process_block(data.data() + i);
-  }
-  // Final padded block(s).
-  std::uint8_t tail[128] = {};
-  const std::size_t rem = data.size() - i;
+namespace kernels {
+
+void sha256_compress_portable(std::uint32_t* h, const std::uint8_t* blocks,
+                              std::size_t count) {
+  for (std::size_t b = 0; b < count; ++b) process_block(h, blocks + b * 64);
+}
+
+Sha256Compress sha_ni() {
+#if defined(__x86_64__)
+  static const bool present = cpu_has_sha_ni();
+  return present ? compress_ni : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+}  // namespace kernels
+
+Sha256::Sha256() : compress_(active_compress()) {}
+
+Sha256& Sha256::update(std::span<const std::uint8_t> data) {
   // An empty span may carry a null data(); memcpy's pointers must be
   // valid even for a zero-length copy.
-  if (rem > 0) std::memcpy(tail, data.data() + i, rem);
+  if (data.empty()) return *this;
+  length_ += data.size();
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  if (buffered_ > 0) {
+    const std::size_t take = std::min(n, buffer_.size() - buffered_);
+    std::memcpy(buffer_.data() + buffered_, p, take);
+    buffered_ += take;
+    p += take;
+    n -= take;
+    if (buffered_ < buffer_.size()) return *this;
+    compress_(h_, buffer_.data(), 1);
+    buffered_ = 0;
+  }
+  if (n >= 64) {
+    compress_(h_, p, n / 64);
+    p += n / 64 * 64;
+    n %= 64;
+  }
+  if (n > 0) {
+    std::memcpy(buffer_.data(), p, n);
+    buffered_ = n;
+  }
+  return *this;
+}
+
+Digest256 Sha256::final() {
+  // Final padded block(s).
+  std::uint8_t tail[128] = {};
+  const std::size_t rem = buffered_;
+  std::memcpy(tail, buffer_.data(), rem);
   tail[rem] = 0x80;
   const std::size_t tail_len = rem + 9 <= 64 ? 64 : 128;
-  const std::uint64_t bit_len = static_cast<std::uint64_t>(data.size()) * 8;
+  const std::uint64_t bit_len = length_ * 8;
   for (int b = 0; b < 8; ++b) {
     tail[tail_len - 1 - static_cast<std::size_t>(b)] =
         static_cast<std::uint8_t>(bit_len >> (8 * b));
   }
-  st.process_block(tail);
-  if (tail_len == 128) st.process_block(tail + 64);
+  compress_(h_, tail, tail_len / 64);
 
   Digest256 out;
   for (int w = 0; w < 8; ++w) {
     out[static_cast<std::size_t>(w * 4 + 0)] =
-        static_cast<std::uint8_t>(st.h[w] >> 24);
+        static_cast<std::uint8_t>(h_[w] >> 24);
     out[static_cast<std::size_t>(w * 4 + 1)] =
-        static_cast<std::uint8_t>(st.h[w] >> 16);
+        static_cast<std::uint8_t>(h_[w] >> 16);
     out[static_cast<std::size_t>(w * 4 + 2)] =
-        static_cast<std::uint8_t>(st.h[w] >> 8);
+        static_cast<std::uint8_t>(h_[w] >> 8);
     out[static_cast<std::size_t>(w * 4 + 3)] =
-        static_cast<std::uint8_t>(st.h[w]);
+        static_cast<std::uint8_t>(h_[w]);
   }
   return out;
 }
 
-Digest256 hmac_sha256(std::span<const std::uint8_t> key,
-                      std::span<const std::uint8_t> message) {
+HmacSha256::HmacSha256(std::span<const std::uint8_t> key) {
   std::array<std::uint8_t, 64> k_block{};
   if (key.size() > 64) {
     const Digest256 kh = sha256(key);
@@ -118,17 +236,29 @@ Digest256 hmac_sha256(std::span<const std::uint8_t> key,
   } else if (!key.empty()) {
     std::memcpy(k_block.data(), key.data(), key.size());
   }
-  std::vector<std::uint8_t> inner;
-  inner.reserve(64 + message.size());
-  for (std::uint8_t b : k_block) inner.push_back(b ^ 0x36);
-  inner.insert(inner.end(), message.begin(), message.end());
-  const Digest256 inner_hash = sha256(inner);
+  std::array<std::uint8_t, 64> pad{};
+  for (std::size_t i = 0; i < pad.size(); ++i) {
+    pad[i] = static_cast<std::uint8_t>(k_block[i] ^ 0x36);
+  }
+  inner_.update(pad);
+  for (std::size_t i = 0; i < pad.size(); ++i) {
+    pad[i] = static_cast<std::uint8_t>(k_block[i] ^ 0x5c);
+  }
+  outer_.update(pad);
+}
 
-  std::vector<std::uint8_t> outer;
-  outer.reserve(64 + 32);
-  for (std::uint8_t b : k_block) outer.push_back(b ^ 0x5c);
-  outer.insert(outer.end(), inner_hash.begin(), inner_hash.end());
-  return sha256(outer);
+Digest256 HmacSha256::final() {
+  const Digest256 inner_hash = inner_.final();
+  return outer_.update(inner_hash).final();
+}
+
+Digest256 sha256(std::span<const std::uint8_t> data) {
+  return Sha256().update(data).final();
+}
+
+Digest256 hmac_sha256(std::span<const std::uint8_t> key,
+                      std::span<const std::uint8_t> message) {
+  return HmacSha256(key).update(message).final();
 }
 
 }  // namespace dlte::crypto

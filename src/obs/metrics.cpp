@@ -84,6 +84,40 @@ double Histogram::quantile(double q) const {
   return estimate;
 }
 
+void Histogram::quantiles(std::span<const double> qs,
+                          std::span<double> out) const {
+  // The arithmetic of quantile(), with the walk shared: ascending qs give
+  // non-decreasing ranks, so each bucket resolves the next run of them.
+  auto rank_of = [this](double q) {
+    if (q < 0.0) q = 0.0;
+    if (q > 1.0) q = 1.0;
+    return static_cast<std::uint64_t>(
+        std::max<double>(1.0, std::ceil(q * static_cast<double>(count_))));
+  };
+  auto clamped = [this](double estimate) {
+    if (estimate < min_) estimate = min_;
+    if (estimate > max_) estimate = max_;
+    return estimate;
+  };
+  std::size_t i = 0;
+  if (count_ == 0) {
+    for (; i < qs.size(); ++i) out[i] = 0.0;
+    return;
+  }
+  std::uint64_t seen = underflow_;
+  for (; i < qs.size() && rank_of(qs[i]) <= seen; ++i) {
+    out[i] = min_ < 0.0 ? min_ : 0.0;
+  }
+  for (auto it = buckets_.begin(); it != buckets_.end() && i < qs.size();
+       ++it) {
+    seen += it->second;
+    for (; i < qs.size() && rank_of(qs[i]) <= seen; ++i) {
+      out[i] = clamped(bucket_midpoint(it->first));
+    }
+  }
+  for (; i < qs.size(); ++i) out[i] = clamped(max_);
+}
+
 double Histogram::quantile_since(const Histogram& baseline, double q) const {
   const std::uint64_t n = count_ - baseline.count_;
   if (n == 0) return 0.0;

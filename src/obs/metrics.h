@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -75,6 +76,10 @@ class Histogram {
 
   // q in [0,1]. Bucket-midpoint estimate, clamped to [min(), max()].
   [[nodiscard]] double quantile(double q) const;
+
+  // out[i] = quantile(qs[i]) for every i, resolved in one bucket walk.
+  // `qs` must be ascending and `out` at least as long.
+  void quantiles(std::span<const double> qs, std::span<double> out) const;
 
   // Windowed view by bucket subtraction: statistics of the samples
   // recorded into *this since `baseline` was copied from it. `baseline`

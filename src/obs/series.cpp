@@ -130,12 +130,15 @@ void TimeSeriesSampler::sample(TimePoint now) {
   for (const GaugeTap& tap : gauge_taps_) {
     tap.value->push(t_s, tap.gauge->value());
   }
+  static constexpr double kQuantiles[3] = {0.50, 0.95, 0.99};
   for (const HistogramTap& tap : histogram_taps_) {
     const Histogram& h = *tap.histogram;
+    double q[3] = {};
+    h.quantiles(kQuantiles, q);
     tap.count->push(t_s, static_cast<double>(h.count()));
-    tap.p50->push(t_s, h.p50());
-    tap.p95->push(t_s, h.p95());
-    tap.p99->push(t_s, h.p99());
+    tap.p50->push(t_s, q[0]);
+    tap.p95->push(t_s, q[1]);
+    tap.p99->push(t_s, q[2]);
   }
   last_t_s_ = t_s;
   ++samples_;

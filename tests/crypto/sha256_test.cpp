@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,22 @@ TEST(Sha256, ExactBlockBoundaryLengths) {
       "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb");
 }
 
+// FIPS-180 long-message vector: one million 'a'. Fed once whole and once
+// in 7-byte pieces, so the streaming hasher's partial-block buffering is
+// crossed at every offset.
+TEST(Sha256, MillionA) {
+  const std::vector<std::uint8_t> data(1000000, 'a');
+  const std::string want =
+      "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+  EXPECT_EQ(to_hex(sha256(data)), want);
+  Sha256 streaming;
+  for (std::size_t i = 0; i < data.size(); i += 7) {
+    streaming.update(std::span{data}.subspan(i, std::min<std::size_t>(
+                                                    7, data.size() - i)));
+  }
+  EXPECT_EQ(to_hex(streaming.final()), want);
+}
+
 // RFC 4231 test case 1.
 TEST(HmacSha256, Rfc4231Case1) {
   std::vector<std::uint8_t> key(20, 0x0b);
@@ -79,6 +96,37 @@ TEST(HmacSha256, LongKeyIsHashed) {
           key, bytes_of("Test Using Larger Than Block-Size Key - Hash "
                         "Key First"))),
       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+// RFC 4231 test cases 3-7 (case 6 is LongKeyIsHashed above). Case 5's
+// published value is the leftmost 128 bits.
+TEST(HmacSha256, Rfc4231Cases3To7) {
+  std::vector<std::uint8_t> key4;
+  for (std::uint8_t b = 0x01; b <= 0x19; ++b) key4.push_back(b);
+  const struct {
+    int rfc_case;
+    std::vector<std::uint8_t> key;
+    std::vector<std::uint8_t> data;
+    std::string hex;
+  } cases[] = {
+      {3, std::vector<std::uint8_t>(20, 0xaa),
+       std::vector<std::uint8_t>(50, 0xdd),
+       "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+      {4, key4, std::vector<std::uint8_t>(50, 0xcd),
+       "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"},
+      {5, std::vector<std::uint8_t>(20, 0x0c), bytes_of("Test With Truncation"),
+       "a3b6167473100ee06e0c796c2955552b"},
+      {7, std::vector<std::uint8_t>(131, 0xaa),
+       bytes_of("This is a test using a larger than block-size key and a "
+                "larger than block-size data. The key needs to be hashed "
+                "before being used by the HMAC algorithm."),
+       "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(to_hex(hmac_sha256(c.key, c.data)).substr(0, c.hex.size()),
+              c.hex)
+        << "RFC 4231 case " << c.rfc_case;
+  }
 }
 
 }  // namespace

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <random>
+#include <vector>
 
 namespace dlte::obs {
 namespace {
@@ -148,6 +152,55 @@ TEST(Histogram, QuantileSinceEmptyWindowReportsZero) {
   const Histogram baseline = h;
   EXPECT_EQ(h.count_since(baseline), 0u);
   EXPECT_DOUBLE_EQ(h.quantile_since(baseline, 0.95), 0.0);
+}
+
+// quantiles() resolves several ranks in one bucket walk; it must equal
+// one quantile() call per q, bit for bit, on seeded random histograms:
+// empty, single-sample, with zero and negative (underflow) samples, and
+// merged from two.
+TEST(Histogram, QuantilesEqualsOneQuantileCallPerQ) {
+  constexpr std::uint64_t kSeed = 1814;
+  std::printf("[   SEED   ] QuantilesEqualsOneQuantileCallPerQ seed=%llu\n",
+              static_cast<unsigned long long>(kSeed));
+  std::mt19937_64 rng{kSeed};
+  std::uniform_real_distribution<double> unit{0.0, 1.0};
+  auto random_histogram = [&](int shape) {
+    Histogram h;
+    const int n = shape == 1 ? 1 : static_cast<int>(rng() % 400);
+    for (int i = 0; i < n; ++i) {
+      const double v = std::exp(unit(rng) * 20.0 - 8.0);
+      switch (shape) {
+        case 2:  // Some zeros.
+          h.record(rng() % 4 == 0 ? 0.0 : v);
+          break;
+        case 3:  // Some negatives.
+          h.record(rng() % 3 == 0 ? -v : v);
+          break;
+        default:
+          h.record(v);
+      }
+    }
+    return h;
+  };
+  for (int trial = 0; trial < 500; ++trial) {
+    const int shape = static_cast<int>(rng() % 5);
+    Histogram h = random_histogram(shape == 4 ? 3 : shape);
+    if (shape == 4) h.merge_from(random_histogram(2));
+    if (trial == 0) h = Histogram{};
+
+    std::vector<double> qs = {0.50, 0.95, 0.99};
+    if (trial % 2 == 1) {
+      qs = {-0.5, 0.0, 1.0, 1.5};
+      for (int i = 0; i < 6; ++i) qs.push_back(unit(rng));
+      std::sort(qs.begin(), qs.end());
+    }
+    std::vector<double> got(qs.size());
+    h.quantiles(qs, got);
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+      ASSERT_EQ(got[i], h.quantile(qs[i]))
+          << "trial " << trial << " shape " << shape << " q=" << qs[i];
+    }
+  }
 }
 
 TEST(MetricsRegistry, GetOrCreateReturnsStableReferences) {
