@@ -31,7 +31,7 @@ DigestTimeline::DigestTimeline(std::int64_t window_ns)
 }
 
 void DigestTimeline::register_label(std::uint32_t id,
-                                    const std::string& name) {
+                                    std::string_view name) {
   if (id >= labels_.size()) labels_.resize(id + 1);
   if (!labels_[id].name.empty()) return;  // Re-registering is idempotent.
   labels_[id].name = name;

@@ -42,6 +42,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -127,7 +128,7 @@ class DigestTimeline {
   // Precompute the name hash for an interned label id. Ids are dense
   // (EventProfiler interning); id 0 is pre-registered as
   // "sim.unlabeled". Safe to re-register (idempotent by id).
-  void register_label(std::uint32_t id, const std::string& name);
+  void register_label(std::uint32_t id, std::string_view name);
 
   // Hot path: called by the engine for every executed event, after the
   // clock advanced to `when_ns`. `when_ns` is non-decreasing within a

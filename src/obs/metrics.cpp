@@ -1,5 +1,7 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace dlte::obs {
@@ -8,6 +10,17 @@ std::int32_t Histogram::bucket_index(double v) {
   // frexp: v = f * 2^e with f in [0.5, 1). Map f linearly onto
   // kSubBuckets sub-buckets so consecutive buckets differ by at most a
   // factor of (1 + 1/kSubBuckets).
+  //
+  // For a normal v the same index comes straight from the bits: e is the
+  // biased exponent - 1022, and (f - 0.5) * 2 * kSubBuckets — exact in
+  // binary floating point — is the mantissa's top log2(kSubBuckets) bits.
+  static_assert(kSubBuckets == 32, "the bit path reads 5 mantissa bits");
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  const auto biased = static_cast<std::int32_t>((bits >> 52) & 0x7ff);
+  if (biased != 0) {
+    return (biased - 1022) * kSubBuckets +
+           static_cast<std::int32_t>((bits >> 47) & 31);
+  }
   int e = 0;
   const double f = std::frexp(v, &e);
   const auto sub = static_cast<std::int32_t>((f - 0.5) * 2.0 * kSubBuckets);
@@ -27,6 +40,22 @@ double Histogram::bucket_midpoint(std::int32_t index) {
   return 0.5 * (lo + hi);
 }
 
+void Histogram::cover(std::int32_t lo, std::int32_t hi) {
+  if (counts_.empty()) {
+    base_ = lo;
+    counts_.assign(static_cast<std::size_t>(hi - lo) + 1, 0);
+    return;
+  }
+  const std::int32_t new_lo = std::min(lo, base_);
+  const std::int32_t new_hi = std::max(hi, top());
+  if (new_lo == base_ && new_hi == top()) return;
+  const auto width = static_cast<std::size_t>(new_hi - new_lo) + 1;
+  std::vector<std::uint64_t> grown(width);
+  std::copy(counts_.begin(), counts_.end(), grown.begin() + (base_ - new_lo));
+  counts_.swap(grown);
+  base_ = new_lo;
+}
+
 void Histogram::record(double v) {
   if (!std::isfinite(v)) return;
   if (count_ == 0) {
@@ -40,9 +69,11 @@ void Histogram::record(double v) {
   sum_ += v;
   if (v <= 0.0) {
     ++underflow_;
-  } else {
-    ++buckets_[bucket_index(v)];
+    return;
   }
+  const std::int32_t index = bucket_index(v);
+  if (counts_.empty() || index < base_ || index > top()) cover(index, index);
+  ++counts_[static_cast<std::size_t>(index - base_)];
 }
 
 void Histogram::merge_from(const Histogram& other) {
@@ -57,7 +88,12 @@ void Histogram::merge_from(const Histogram& other) {
   count_ += other.count_;
   sum_ += other.sum_;
   underflow_ += other.underflow_;
-  for (const auto& [index, n] : other.buckets_) buckets_[index] += n;
+  if (other.counts_.empty()) return;
+  cover(other.base_, other.top());
+  const auto offset = static_cast<std::size_t>(other.base_ - base_);
+  for (std::size_t i = 0; i < other.counts_.size(); ++i) {
+    counts_[offset + i] += other.counts_[i];
+  }
 }
 
 double Histogram::quantile(double q) const {
@@ -72,10 +108,10 @@ double Histogram::quantile(double q) const {
   // were seen, otherwise the bucket's nominal value of zero.
   if (rank <= seen) return min_ < 0.0 ? min_ : 0.0;
   double estimate = max_;
-  for (const auto& [index, n] : buckets_) {
-    seen += n;
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    seen += counts_[i];
     if (seen >= rank) {
-      estimate = bucket_midpoint(index);
+      estimate = bucket_midpoint(base_ + static_cast<std::int32_t>(i));
       break;
     }
   }
@@ -108,11 +144,10 @@ void Histogram::quantiles(std::span<const double> qs,
   for (; i < qs.size() && rank_of(qs[i]) <= seen; ++i) {
     out[i] = min_ < 0.0 ? min_ : 0.0;
   }
-  for (auto it = buckets_.begin(); it != buckets_.end() && i < qs.size();
-       ++it) {
-    seen += it->second;
+  for (std::size_t b = 0; b < counts_.size() && i < qs.size(); ++b) {
+    seen += counts_[b];
     for (; i < qs.size() && rank_of(qs[i]) <= seen; ++i) {
-      out[i] = clamped(bucket_midpoint(it->first));
+      out[i] = clamped(bucket_midpoint(base_ + static_cast<std::int32_t>(b)));
     }
   }
   for (; i < qs.size(); ++i) out[i] = clamped(max_);
@@ -128,11 +163,9 @@ double Histogram::quantile_since(const Histogram& baseline, double q) const {
   std::uint64_t seen = underflow_ - baseline.underflow_;
   if (rank <= seen) return min_ < 0.0 ? min_ : 0.0;
   double estimate = max_;
-  for (const auto& [index, count] : buckets_) {
-    std::uint64_t delta = count;
-    const auto it = baseline.buckets_.find(index);
-    if (it != baseline.buckets_.end()) delta -= it->second;
-    seen += delta;
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    const std::int32_t index = base_ + static_cast<std::int32_t>(i);
+    seen += counts_[i] - baseline.at(index);
     if (seen >= rank) {
       estimate = bucket_midpoint(index);
       break;

@@ -59,7 +59,10 @@ class Gauge {
 // is at most 1/kSubBuckets (~3.1%) and a reported quantile — the bucket
 // midpoint, clamped to the observed [min, max] — is within ~1.6% of the
 // true sample quantile. Zero and negative samples share one underflow
-// bucket that reports as 0. Memory is O(occupied buckets), never O(n).
+// bucket that reports as 0. Counts live in one contiguous array that
+// spans the lowest to the highest bucket seen (DESIGN.md §8), so record()
+// is an index and an increment; memory is kSubBuckets counters per
+// binade spanned, never O(n).
 class Histogram {
  public:
   static constexpr int kSubBuckets = 32;
@@ -108,8 +111,21 @@ class Histogram {
  private:
   [[nodiscard]] static std::int32_t bucket_index(double v);
   [[nodiscard]] static double bucket_midpoint(std::int32_t index);
+  // Widen the array to cover buckets [lo, hi]; existing counts keep
+  // their bucket.
+  void cover(std::int32_t lo, std::int32_t hi);
+  [[nodiscard]] std::int32_t top() const {
+    return base_ + static_cast<std::int32_t>(counts_.size()) - 1;
+  }
+  // Count of bucket `index`, 0 outside the covered range.
+  [[nodiscard]] std::uint64_t at(std::int32_t index) const {
+    if (index < base_ || index > top()) return 0;
+    return counts_[static_cast<std::size_t>(index - base_)];
+  }
 
-  std::map<std::int32_t, std::uint64_t> buckets_;
+  // counts_[i] is bucket base_ + i; empty until the first positive sample.
+  std::vector<std::uint64_t> counts_;
+  std::int32_t base_{0};
   std::uint64_t underflow_{0};  // Samples <= 0.
   std::uint64_t count_{0};
   double sum_{0.0};

@@ -10,14 +10,13 @@ EventProfiler::EventProfiler() {
   ids_.emplace(kUnlabeledEventName, kUnlabeledEvent);
 }
 
-std::uint32_t EventProfiler::intern(const std::string& name) {
-  const auto [it, inserted] =
-      ids_.emplace(name, static_cast<std::uint32_t>(names_.size()));
-  if (inserted) {
-    names_.push_back(name);
-    stats_.emplace_back();
-  }
-  return it->second;
+std::uint32_t EventProfiler::intern(std::string_view name) {
+  if (const auto it = ids_.find(name); it != ids_.end()) return it->second;
+  const auto id = static_cast<std::uint32_t>(names_.size());
+  ids_.emplace(name, id);
+  names_.emplace_back(name);
+  stats_.emplace_back();
+  return id;
 }
 
 void EventProfiler::merge_from(const EventProfiler& other) {

@@ -26,7 +26,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -61,8 +63,9 @@ class EventProfiler {
 
   // Get-or-create the id for `name`. Ids are dense, stable for the
   // profiler's lifetime, and per-profiler (cross-shard identity is by
-  // name, never by id). Callsites intern once and cache the id.
-  [[nodiscard]] std::uint32_t intern(const std::string& name);
+  // name, never by id). Callsites intern once and cache the id; a name
+  // already interned costs one hash lookup and no allocation.
+  [[nodiscard]] std::uint32_t intern(std::string_view name);
 
   [[nodiscard]] const std::string& label_name(std::uint32_t id) const {
     return names_[id];
@@ -102,7 +105,15 @@ class EventProfiler {
  private:
   std::vector<std::string> names_;
   std::vector<LabelStats> stats_;
-  std::unordered_map<std::string, std::uint32_t> ids_;
+  // Transparent hash: find() takes a string_view without building a key.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  std::unordered_map<std::string, std::uint32_t, NameHash, std::equal_to<>>
+      ids_;
 };
 
 // ---- Layer 2: wall-clock shard profile (NOT byte-compared) -----------

@@ -18,8 +18,9 @@
 // the property the CI health gate diffs directly.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 #include <vector>
@@ -47,33 +48,84 @@ enum class SeriesKind {
 [[nodiscard]] const char* series_kind_name(SeriesKind kind);
 
 // Bounded ring of points: oldest points drop first, and drops are
-// counted — a long run degrades to a sliding window, never to OOM.
+// counted — a long run degrades to a sliding window, never to OOM. The
+// points sit in one contiguous buffer that grows up to `capacity` and
+// then wraps, so a series costs one block, not a deque's chunk and map.
 class TimeSeries {
  public:
+  // Oldest-first view of the ring; iterators and indices are valid until
+  // the next push.
+  class Points {
+   public:
+    class Iterator {
+     public:
+      using value_type = SeriesPoint;
+      using difference_type = std::ptrdiff_t;
+      using reference = const SeriesPoint&;
+
+      Iterator() = default;
+      Iterator(const Points* points, std::size_t i) : points_(points), i_(i) {}
+      reference operator*() const { return (*points_)[i_]; }
+      Iterator& operator++() {
+        ++i_;
+        return *this;
+      }
+      bool operator==(const Iterator& other) const { return i_ == other.i_; }
+
+     private:
+      const Points* points_{nullptr};
+      std::size_t i_{0};
+    };
+
+    explicit Points(const TimeSeries& series) : series_(series) {}
+    [[nodiscard]] std::size_t size() const { return series_.ring_.size(); }
+    [[nodiscard]] bool empty() const { return series_.ring_.empty(); }
+    [[nodiscard]] const SeriesPoint& operator[](std::size_t i) const {
+      std::size_t at = series_.head_ + i;
+      if (at >= series_.ring_.size()) at -= series_.ring_.size();
+      return series_.ring_[at];
+    }
+    [[nodiscard]] const SeriesPoint& front() const { return (*this)[0]; }
+    [[nodiscard]] const SeriesPoint& back() const {
+      return (*this)[size() - 1];
+    }
+    [[nodiscard]] Iterator begin() const { return Iterator(this, 0); }
+    [[nodiscard]] Iterator end() const { return Iterator(this, size()); }
+
+   private:
+    const TimeSeries& series_;
+  };
+
   explicit TimeSeries(SeriesKind kind, std::size_t capacity)
       : kind_(kind), capacity_(capacity) {}
 
   void push(double t_s, double value) {
-    if (points_.size() == capacity_) {
-      points_.pop_front();
-      ++dropped_;
+    if (ring_.size() < capacity_) {
+      // First block: a run's worth of samples at the usual cadences.
+      if (ring_.empty()) ring_.reserve(std::min<std::size_t>(capacity_, 16));
+      ring_.push_back(SeriesPoint{t_s, value});
+      return;
     }
-    points_.push_back(SeriesPoint{t_s, value});
+    ++dropped_;
+    if (capacity_ == 0) return;
+    // Full: the new point overwrites the oldest, which becomes the newest.
+    ring_[head_] = SeriesPoint{t_s, value};
+    if (++head_ == capacity_) head_ = 0;
   }
 
   [[nodiscard]] SeriesKind kind() const { return kind_; }
-  [[nodiscard]] const std::deque<SeriesPoint>& points() const {
-    return points_;
-  }
+  [[nodiscard]] Points points() const { return Points(*this); }
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   [[nodiscard]] double latest() const {
-    return points_.empty() ? 0.0 : points_.back().value;
+    return ring_.empty() ? 0.0 : points().back().value;
   }
 
  private:
   SeriesKind kind_;
   std::size_t capacity_;
-  std::deque<SeriesPoint> points_;
+  // Oldest point at head_ (0 until the ring first wraps).
+  std::vector<SeriesPoint> ring_;
+  std::size_t head_{0};
   std::uint64_t dropped_{0};
 };
 

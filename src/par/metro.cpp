@@ -1,6 +1,7 @@
 #include "par/metro.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "obs/merge.h"
@@ -13,13 +14,12 @@ namespace dlte::par {
 namespace {
 constexpr std::uint16_t kLoadReportKind = 1;
 
-std::vector<std::uint8_t> encode_load(std::uint32_t attached) {
-  std::vector<std::uint8_t> payload(4);
-  payload[0] = static_cast<std::uint8_t>(attached & 0xff);
-  payload[1] = static_cast<std::uint8_t>((attached >> 8) & 0xff);
-  payload[2] = static_cast<std::uint8_t>((attached >> 16) & 0xff);
-  payload[3] = static_cast<std::uint8_t>((attached >> 24) & 0xff);
-  return payload;
+// Little-endian, on the stack: post() copies it into the message inline.
+std::array<std::uint8_t, 4> encode_load(std::uint32_t attached) {
+  return {static_cast<std::uint8_t>(attached & 0xff),
+          static_cast<std::uint8_t>((attached >> 8) & 0xff),
+          static_cast<std::uint8_t>((attached >> 16) & 0xff),
+          static_cast<std::uint8_t>((attached >> 24) & 0xff)};
 }
 }  // namespace
 

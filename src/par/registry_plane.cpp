@@ -173,7 +173,7 @@ void RegistryPlaneScenario::build() {
         *b->sim, cc,
         [this, self](std::uint16_t kind, std::vector<std::uint8_t> payload) {
           runtime_.post(self, kRegistryEndpoint, config_.registry_delay,
-                        kind, std::move(payload));
+                        kind, payload);
         },
         workload::LeaseChurnStorm::Hooks{});
     runtime_.register_endpoint(self, b->shard, [b](const Message& m) {

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/merge.h"
@@ -99,31 +100,45 @@ obs::MetricsRegistry& ShardedSimulator::shard_registry(std::size_t shard) {
 void ShardedSimulator::register_endpoint(EndpointId ep, std::size_t shard,
                                          Handler handler) {
   assert(shard < shards_.size());
-  endpoints_[ep] = Endpoint{shard, std::move(handler)};
+  if (ep >= endpoints_.size()) endpoints_.resize(std::size_t{ep} + 1);
+  Endpoint& slot = endpoints_[ep];
+  slot.shard = shard;
+  slot.handler = std::move(handler);
+  slot.registered = true;
+}
+
+const ShardedSimulator::Endpoint& ShardedSimulator::endpoint(
+    EndpointId ep) const {
+  if (ep >= endpoints_.size() || !endpoints_[ep].registered) {
+    throw std::out_of_range("par: unregistered endpoint");
+  }
+  return endpoints_[ep];
+}
+
+ShardedSimulator::Endpoint& ShardedSimulator::endpoint(EndpointId ep) {
+  return const_cast<Endpoint&>(std::as_const(*this).endpoint(ep));
 }
 
 std::size_t ShardedSimulator::owner_of(EndpointId ep) const {
-  const auto it = endpoints_.find(ep);
-  assert(it != endpoints_.end() && "unregistered endpoint");
-  return it->second.shard;
+  return endpoint(ep).shard;
 }
 
 void ShardedSimulator::post(EndpointId src, EndpointId dst, Duration delay,
                             std::uint16_t kind,
-                            std::vector<std::uint8_t> payload) {
-  Shard& shard = *shards_[owner_of(src)];
+                            std::span<const std::uint8_t> payload) {
+  Endpoint& source = endpoint(src);
+  Shard& shard = *shards_[source.shard];
   if (delay < config_.lookahead) {
     delay = config_.lookahead;
     ++shard.posts_clamped;
   }
-  Message msg;
+  Message& msg = shard.outbox.emplace_back();
   msg.src = src;
   msg.dst = dst;
   msg.deliver_at = shard.sim.now() + delay;
-  msg.seq = shard.next_seq[src]++;
+  msg.seq = source.next_seq++;
   msg.kind = kind;
-  msg.payload = std::move(payload);
-  shard.outbox.push_back(std::move(msg));
+  msg.payload = Payload(payload);
 }
 
 void ShardedSimulator::worker_loop() {
@@ -189,7 +204,8 @@ void ShardedSimulator::exchange() {
   // shard's outbox, order globally, inject. The injection order fixes
   // the tie-break sequence numbers in the destination simulators, so it
   // must be — and is — independent of the partition.
-  std::vector<Message> batch;
+  std::vector<Message>& batch = batch_;
+  batch.clear();
   for (auto& shard : shards_) {
     if (shard->outbox.empty()) continue;
     batch.insert(batch.end(),
@@ -211,7 +227,7 @@ void ShardedSimulator::exchange() {
     // exactly the missed-window bug a broken lookahead or an unseeded
     // reorder in a future partitioner would introduce.
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (endpoints_.at(batch[i].dst).shard != inject_dst_) continue;
+      if (endpoint(batch[i].dst).shard != inject_dst_) continue;
       if (batch[i].deliver_at < inject_after_) continue;
       inject_held_ = std::make_unique<Message>(std::move(batch[i]));
       batch.erase(batch.begin() + static_cast<std::ptrdiff_t>(i));
@@ -223,34 +239,34 @@ void ShardedSimulator::exchange() {
   messages_ += batch.size();
   max_exchange_ = std::max(max_exchange_, batch.size());
   for (Message& msg : batch) {
-    // Node-stable map: the Endpoint address outlives the run.
-    const Endpoint* endpoint = &endpoints_.at(msg.dst);
-    Shard& shard = *shards_[endpoint->shard];
+    const std::size_t src_shard = endpoint(msg.src).shard;
+    const std::size_t dst_shard = endpoint(msg.dst).shard;
+    Shard& shard = *shards_[dst_shard];
     if (ledger_ != nullptr) {
-      ledger_->on_message(
-          msg.deliver_at.ns(), msg.src, msg.seq, msg.kind,
-          msg.payload.data(), msg.payload.size(),
-          static_cast<std::uint32_t>(owner_of(msg.src)),
-          static_cast<std::uint32_t>(endpoint->shard));
+      ledger_->on_message(msg.deliver_at.ns(), msg.src, msg.seq, msg.kind,
+                          msg.payload.data(), msg.payload.size(),
+                          static_cast<std::uint32_t>(src_shard),
+                          static_cast<std::uint32_t>(dst_shard));
     }
     if (config_.profile) {
-      const std::size_t cell =
-          owner_of(msg.src) * shards_.size() + endpoint->shard;
+      const std::size_t cell = src_shard * shards_.size() + dst_shard;
       ++matrix_messages_[cell];
       matrix_bytes_[cell] += msg.payload.size();
     }
     Delivery* delivery = shard.deliveries.acquire();
     delivery->msg = std::move(msg);
-    delivery->endpoint = endpoint;
     delivery->home = &shard;
+    // The handler is looked up at delivery time: the table may grow
+    // between runs, so no pointer into it is held across a barrier.
     shard.sim.schedule_at(
         delivery->msg.deliver_at,
-        [delivery] {
-          delivery->endpoint->handler(delivery->msg);
+        [this, delivery] {
+          endpoints_[delivery->msg.dst].handler(delivery->msg);
           delivery->home->deliveries.release(delivery);
         },
         shard.delivery_label);
   }
+  batch.clear();
 }
 
 void ShardedSimulator::emit_samples(TimePoint up_to) {

@@ -27,7 +27,8 @@
 // pool; within a window each shard is claimed by exactly one worker via
 // an atomic counter and touched by no one else; the coordinator only
 // inspects shard state between windows, with the barrier mutex ordering
-// every hand-off. post() appends only to the posting shard's own outbox.
+// every hand-off. post() appends only to the posting shard's own outbox
+// and bumps only the posting endpoint's own sequence counter.
 #pragma once
 
 #include <atomic>
@@ -36,9 +37,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/pool.h"
@@ -102,7 +103,9 @@ class ShardedSimulator {
   [[nodiscard]] obs::MetricsRegistry& shard_registry(std::size_t shard);
 
   // Declare that endpoint `ep` lives on `shard`; cross-shard messages
-  // addressed to it run `handler` there. Call before run_until().
+  // addressed to it run `handler` there. Call before run_until(). The
+  // endpoint table is indexed by id (sized by the largest one), so ids
+  // should be dense from 0.
   void register_endpoint(EndpointId ep, std::size_t shard, Handler handler);
   [[nodiscard]] std::size_t owner_of(EndpointId ep) const;
 
@@ -110,8 +113,10 @@ class ShardedSimulator {
   // event context, or before the run starts). Delivery is at
   // now + max(delay, lookahead); a shorter delay is clamped up and
   // counted under par.posts_clamped.
+  // The payload bytes are copied into the message (inline up to
+  // Payload::kInline), so callers may encode on the stack.
   void post(EndpointId src, EndpointId dst, Duration delay,
-            std::uint16_t kind, std::vector<std::uint8_t> payload);
+            std::uint16_t kind, std::span<const std::uint8_t> payload);
 
   // Advance every shard to `horizon` through the barrier-window loop.
   // Callable repeatedly; the window grid stays anchored at t=0.
@@ -196,20 +201,24 @@ class ShardedSimulator {
   [[nodiscard]] std::uint64_t queue_resizes() const;
 
  private:
+  // One slot of the endpoint table. `next_seq` counts the endpoint's
+  // posts; only the worker running the endpoint's shard writes it, so
+  // slots of endpoints on different shards never share a writer.
   struct Endpoint {
     std::size_t shard{0};
     Handler handler;
+    std::uint64_t next_seq{0};
+    bool registered{false};
   };
   struct Shard;
   // One injected cross-shard delivery, pooled per destination shard: the
   // metro scenario injects hundreds of thousands of these per run, and a
-  // pooled record (lambda captures one pointer) costs no heap traffic
+  // pooled record (lambda captures two pointers) costs no heap traffic
   // where the previous shared_ptr cost two allocations per message. The
   // pool is touched by the coordinator at barriers and by the owning
   // shard's worker inside windows — phases that never overlap.
   struct Delivery {
     Message msg;
-    const Endpoint* endpoint{nullptr};
     Shard* home{nullptr};
   };
   struct Shard {
@@ -219,8 +228,6 @@ class ShardedSimulator {
     obs::RegistryDigester digester{domain};
     std::unique_ptr<obs::TimeSeriesSampler> sampler;
     std::vector<Message> outbox;
-    // Per-source post counters (sources owned by this shard only).
-    std::unordered_map<EndpointId, std::uint64_t> next_seq;
     std::uint64_t posts_clamped{0};
     ObjectPool<Delivery> deliveries{256};
     // Profiling state (null/zero unless config_.profile). window_run_s
@@ -248,10 +255,15 @@ class ShardedSimulator {
   // or after the close — a partition-invariant point of the run.
   void audit_tick(TimePoint end);
   void flush_metrics();
+  [[nodiscard]] Endpoint& endpoint(EndpointId ep);
+  [[nodiscard]] const Endpoint& endpoint(EndpointId ep) const;
 
   ShardedConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unordered_map<EndpointId, Endpoint> endpoints_;
+  // Dense, indexed by EndpointId; `registered` marks the live slots.
+  std::vector<Endpoint> endpoints_;
+  // The barrier's gather buffer, kept to reuse its capacity.
+  std::vector<Message> batch_;
   TimePoint now_{};
   TimePoint next_sample_{};
   std::uint64_t windows_{0};

@@ -116,8 +116,7 @@ void ShardedTown::build() {
           // carries the destination AP id (see kX2Protocol note).
           runtime_.post(static_cast<EndpointId>(isl->index),
                         static_cast<EndpointId>(p.protocol),
-                        config_.backbone_delay, kX2Kind,
-                        std::move(p.payload));
+                        config_.backbone_delay, kX2Kind, p.payload);
         });
     isl->ig_node = isl->network->add_node("ig" + std::to_string(i));
     const net::LinkConfig local_link{DataRate::mbps(1000.0),
@@ -173,7 +172,7 @@ void ShardedTown::build() {
           p.dst = isl->ap_node;
           p.size_bytes = static_cast<int>(m.payload.size());
           p.protocol = kX2Protocol;
-          p.payload = m.payload;
+          p.payload.assign(m.payload.begin(), m.payload.end());
           isl->network->send(std::move(p));
         });
 

@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/time.h"
@@ -136,7 +137,7 @@ class Simulator {
   // Intern an attribution label for the schedule_* label overloads.
   // Without a profiler every name maps to the unlabeled id, so callsites
   // can intern once at construction regardless of profiling state.
-  [[nodiscard]] std::uint32_t label(const std::string& name) {
+  [[nodiscard]] std::uint32_t label(std::string_view name) {
     if (profiler_ == nullptr) return obs::kUnlabeledEvent;
     const std::uint32_t id = profiler_->intern(name);
     if (auditor_ != nullptr) auditor_->register_label(id, name);

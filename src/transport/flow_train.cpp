@@ -31,12 +31,16 @@ void FlowTrain::deliver(std::uint64_t bytes) {
 
 void FlowTrain::start() {
   if (remaining_bytes_ == 0) {
-    stats_.completed = true;
-    stats_.completed_at = sim_.now();
-    if (on_complete_) on_complete_(stats_.completed_at);
+    complete();
     return;
   }
   run_epoch();
+}
+
+void FlowTrain::complete() {
+  stats_.completed = true;
+  stats_.completed_at = sim_.now();
+  if (on_complete_) on_complete_(stats_.completed_at);
 }
 
 void FlowTrain::run_epoch() {
@@ -54,67 +58,65 @@ void FlowTrain::run_epoch() {
         static_cast<std::uint64_t>(cap_packets_) * mss;
     const std::uint64_t epochs =
         (remaining_bytes_ + per_epoch - 1) / per_epoch;
-    const std::uint64_t bytes = remaining_bytes_;
+    const std::int64_t rest_ns = static_cast<std::int64_t>(epochs) * rtt_ns;
+    epoch_bytes_ = remaining_bytes_;
     remaining_bytes_ = 0;
     ++stats_.events_scheduled;
-    sim_.schedule(
-        Duration::nanos(static_cast<std::int64_t>(epochs) * rtt_ns),
-        [this, bytes] {
-          deliver(bytes);
-          stats_.completed = true;
-          stats_.completed_at = sim_.now();
-          if (on_complete_) on_complete_(stats_.completed_at);
-        },
-        ev_label_);
+    sim_.schedule(Duration::nanos(rest_ns), [this] { land_rest(); }, ev_label_);
     return;
   }
 
   remaining_bytes_ -= window_bytes;
-  const auto continue_flow = [this, final_epoch] {
-    if (final_epoch) {
-      stats_.completed = true;
-      stats_.completed_at = sim_.now();
-      if (on_complete_) on_complete_(stats_.completed_at);
-      return;
-    }
-    if (cwnd_packets_ < cap_packets_) {
-      cwnd_packets_ = std::min(cwnd_packets_ * 2, cap_packets_);
-      ++stats_.rate_changes;
-    }
-    run_epoch();
-  };
+  epoch_bytes_ = window_bytes;
+  final_epoch_ = final_epoch;
 
   if (!config_.per_packet) {
     // One train: the whole window lands at the end of the epoch.
     ++stats_.events_scheduled;
-    sim_.schedule(
-        Duration::nanos(rtt_ns),
-        [this, window_bytes, continue_flow] {
-          deliver(window_bytes);
-          continue_flow();
-        },
-        ev_label_);
+    sim_.schedule(Duration::nanos(rtt_ns), [this] { land_train(); }, ev_label_);
     return;
   }
 
   // Per-packet reference: identical epochs, one MSS at a time, the last
-  // packet of the epoch landing exactly at the epoch boundary.
+  // packet of the epoch landing exactly at the epoch boundary. The epoch
+  // members stay put until that last packet ends it.
   const std::uint64_t packets = (window_bytes + mss - 1) / mss;
   for (std::uint64_t j = 0; j < packets; ++j) {
-    const std::uint64_t bytes = std::min(mss, window_bytes - j * mss);
     const std::int64_t at_ns =
         static_cast<std::int64_t>((j + 1)) * rtt_ns /
         static_cast<std::int64_t>(packets);
-    const bool last = j + 1 == packets;
     ++stats_.events_scheduled;
-    sim_.schedule(
-        Duration::nanos(at_ns),
-        [this, bytes, last, continue_flow] {
-          deliver(bytes);
-          if (last) continue_flow();
-        },
-        ev_label_);
+    sim_.schedule(Duration::nanos(at_ns), [this, j] { land_packet(j); },
+                  ev_label_);
   }
+}
+
+void FlowTrain::land_rest() {
+  deliver(epoch_bytes_);
+  complete();
+}
+
+void FlowTrain::land_train() {
+  deliver(epoch_bytes_);
+  end_epoch();
+}
+
+void FlowTrain::land_packet(std::uint64_t j) {
+  const std::uint64_t mss = static_cast<std::uint64_t>(config_.mss_bytes);
+  deliver(std::min(mss, epoch_bytes_ - j * mss));
+  if ((j + 1) * mss >= epoch_bytes_) end_epoch();
+}
+
+void FlowTrain::end_epoch() {
+  if (final_epoch_) {
+    complete();
+    return;
+  }
+  if (cwnd_packets_ < cap_packets_) {
+    cwnd_packets_ = std::min(cwnd_packets_ * 2, cap_packets_);
+    ++stats_.rate_changes;
+  }
+  run_epoch();
 }
 
 }  // namespace dlte::transport

@@ -50,7 +50,8 @@ class FlowTrain {
  public:
   // `on_delivered(bytes)` fires once per delivery event (train or
   // packet); `on_complete` once, when the last byte lands. Either may be
-  // null. The FlowTrain must outlive the simulation run.
+  // null. The FlowTrain must outlive the simulation run and must not move
+  // once started: its queued events capture only `this` (DESIGN.md §13).
   using DeliveredCallback = std::function<void(std::uint64_t)>;
   using CompleteCallback = std::function<void(TimePoint)>;
 
@@ -68,6 +69,14 @@ class FlowTrain {
 
  private:
   void run_epoch();
+  // Event bodies: the in-flight epoch lives in the members below, so
+  // each queued closure is one pointer and fits std::function's inline
+  // buffer.
+  void land_train();
+  void land_rest();
+  void land_packet(std::uint64_t j);
+  void end_epoch();
+  void complete();
   void deliver(std::uint64_t bytes);
 
   sim::Simulator& sim_;
@@ -78,6 +87,9 @@ class FlowTrain {
   std::int64_t cap_packets_{1};
   std::int64_t cwnd_packets_{1};
   std::uint64_t remaining_bytes_{0};
+  // The epoch in flight: bytes it delivers and whether it is the last.
+  std::uint64_t epoch_bytes_{0};
+  bool final_epoch_{false};
   FlowTrainStats stats_;
 };
 

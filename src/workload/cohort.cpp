@@ -1,6 +1,7 @@
 #include "workload/cohort.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace dlte::workload {
@@ -54,7 +55,12 @@ void UeCohort::attach_batch(int /*batch*/, int batch_ues) {
   flow.bottleneck =
       DataRate(config_.flow.bottleneck.bps() * static_cast<double>(batch_ues));
   flow.initial_cwnd_packets = config_.flow.initial_cwnd_packets * batch_ues;
-  auto train = std::make_unique<transport::FlowTrain>(
+  if (flows_.capacity() == 0) {
+    flows_.reserve(static_cast<std::size_t>(config_.attach_batches));
+  }
+  // Each batch starts at most one train, so the reserve above holds.
+  assert(flows_.size() < flows_.capacity());
+  transport::FlowTrain& train = flows_.emplace_back(
       sim_, flow,
       [this](std::uint64_t bytes) {
         bytes_delivered_ += bytes;
@@ -64,8 +70,7 @@ void UeCohort::attach_batch(int /*batch*/, int batch_ues) {
         ++flows_completed_;
         obs::inc(hooks_.flows_completed);
       });
-  train->start();
-  flows_.push_back(std::move(train));
+  train.start();
 }
 
 }  // namespace dlte::workload

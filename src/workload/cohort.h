@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/time.h"
@@ -79,8 +78,11 @@ class UeCohort {
   CohortConfig config_;
   sim::RngStream rng_;
   Hooks hooks_;
-  // Aggregate flows must outlive the run; one per batch.
-  std::vector<std::unique_ptr<transport::FlowTrain>> flows_;
+  // Aggregate flows must outlive the run; one per batch. Stored in place:
+  // the first attach reserves one slot per batch, so no train ever moves
+  // (their queued events capture `this`) and the constructor and start()
+  // allocate nothing for them.
+  std::vector<transport::FlowTrain> flows_;
   int ues_attached_{0};
   int batches_started_{0};
   int flows_completed_{0};

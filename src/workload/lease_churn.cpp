@@ -61,7 +61,7 @@ void LeaseChurnStorm::query_tick() {
 }
 
 void LeaseChurnStorm::on_message(std::uint16_t kind,
-                                 const std::vector<std::uint8_t>& payload) {
+                                 std::span<const std::uint8_t> payload) {
   switch (kind) {
     case kLeaseGrantReply:
       on_grant_reply(payload);
@@ -77,8 +77,7 @@ void LeaseChurnStorm::on_message(std::uint16_t kind,
   }
 }
 
-void LeaseChurnStorm::on_grant_reply(
-    const std::vector<std::uint8_t>& payload) {
+void LeaseChurnStorm::on_grant_reply(std::span<const std::uint8_t> payload) {
   ByteReader r{payload};
   const auto block = r.u32();
   const auto ok = r.u8();
@@ -112,7 +111,7 @@ void LeaseChurnStorm::on_grant_reply(
 }
 
 void LeaseChurnStorm::on_heartbeat_reply(
-    const std::vector<std::uint8_t>& payload) {
+    std::span<const std::uint8_t> payload) {
   ByteReader r{payload};
   const auto block = r.u32();
   const auto ok = r.u32();
@@ -147,8 +146,7 @@ void LeaseChurnStorm::on_heartbeat_reply(
   apply_for_missing();
 }
 
-void LeaseChurnStorm::on_query_reply(
-    const std::vector<std::uint8_t>& payload) {
+void LeaseChurnStorm::on_query_reply(std::span<const std::uint8_t> payload) {
   ByteReader r{payload};
   const auto block = r.u32();
   const auto tier = r.u8();

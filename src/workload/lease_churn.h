@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/geo.h"
@@ -99,8 +100,7 @@ class LeaseChurnStorm {
 
   // Feed a reply delivered for this block. Ignores kinds it doesn't
   // understand and replies addressed to other blocks.
-  void on_message(std::uint16_t kind,
-                  const std::vector<std::uint8_t>& payload);
+  void on_message(std::uint16_t kind, std::span<const std::uint8_t> payload);
 
   [[nodiscard]] std::size_t leases_held() const { return held_.size(); }
   [[nodiscard]] std::uint64_t lapses_seen() const { return lapses_seen_; }
@@ -128,9 +128,9 @@ class LeaseChurnStorm {
   void apply_for_missing();  // Request (leases - held) new grants.
   void heartbeat_tick();
   void query_tick();
-  void on_grant_reply(const std::vector<std::uint8_t>& payload);
-  void on_heartbeat_reply(const std::vector<std::uint8_t>& payload);
-  void on_query_reply(const std::vector<std::uint8_t>& payload);
+  void on_grant_reply(std::span<const std::uint8_t> payload);
+  void on_heartbeat_reply(std::span<const std::uint8_t> payload);
+  void on_query_reply(std::span<const std::uint8_t> payload);
 
   sim::Simulator& sim_;
   ChurnConfig config_;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <string>
 
 #include "obs/series_export.h"
@@ -23,6 +24,39 @@ TEST(TimeSeries, RingDropsOldestAndCounts) {
   EXPECT_DOUBLE_EQ(s.points().front().t_s, 2.0);
   EXPECT_DOUBLE_EQ(s.points().front().value, 20.0);
   EXPECT_DOUBLE_EQ(s.latest(), 40.0);
+}
+
+// The contiguous ring against a deque doing what the series used to do:
+// same points oldest-first, same drops and latest at every capacity,
+// before, at and long after the first wrap.
+TEST(TimeSeries, RingMatchesDequeReferenceAcrossWraps) {
+  constexpr std::size_t kCapacities[] = {0, 1, 2, 5, 16, 17, 40};
+  for (const std::size_t capacity : kCapacities) {
+    TimeSeries s{SeriesKind::kGauge, capacity};
+    std::deque<SeriesPoint> ref;
+    std::uint64_t ref_dropped = 0;
+    for (int i = 0; i < 100; ++i) {
+      const double t = 0.5 * i;
+      const double v = static_cast<double>(i * i % 37);
+      s.push(t, v);
+      if (ref.size() == capacity) {
+        if (!ref.empty()) ref.pop_front();
+        ++ref_dropped;
+      }
+      if (capacity > 0) ref.push_back(SeriesPoint{t, v});
+      ASSERT_EQ(s.points().size(), ref.size()) << "capacity=" << capacity;
+      ASSERT_EQ(s.dropped(), ref_dropped);
+      ASSERT_DOUBLE_EQ(s.latest(), ref.empty() ? 0.0 : ref.back().value);
+      std::size_t k = 0;
+      for (const SeriesPoint& p : s.points()) {
+        ASSERT_DOUBLE_EQ(p.t_s, ref[k].t_s);
+        ASSERT_DOUBLE_EQ(p.value, s.points()[k].value);
+        ASSERT_DOUBLE_EQ(p.value, ref[k].value);
+        ++k;
+      }
+      ASSERT_EQ(k, ref.size());
+    }
+  }
 }
 
 TEST(TimeSeriesSampler, CounterSeriesCumulativeAndRate) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dlte::par {
@@ -137,6 +139,63 @@ TEST(ShardedSimulator, CoordinatorSamplingIsOnTheConfiguredCadence) {
   ASSERT_NE(series, nullptr);
   EXPECT_EQ(series->points().size(), 5u);
   EXPECT_DOUBLE_EQ(series->points().front().t_s, 0.01);
+}
+
+TEST(Payload, InlineAndHeapBytesSurviveCopyAndMove) {
+  constexpr std::size_t kSizes[] = {0, 1, Payload::kInline,
+                                    Payload::kInline + 1, 300};
+  for (const std::size_t size : kSizes) {
+    std::vector<std::uint8_t> bytes(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      bytes[i] = static_cast<std::uint8_t>(i * 13 + 5);
+    }
+    const Payload original{bytes};
+    Payload copy = original;
+    Payload moved = std::move(copy);
+    Payload assigned{std::vector<std::uint8_t>(40, 9)};
+    assigned = moved;
+    Payload move_assigned;
+    move_assigned = std::move(moved);
+    const Payload* copies[] = {&original, &assigned, &move_assigned};
+    for (const Payload* p : copies) {
+      EXPECT_EQ(std::vector<std::uint8_t>(p->begin(), p->end()), bytes)
+          << "size=" << size;
+    }
+    EXPECT_EQ(copy.size(), 0u);
+    EXPECT_EQ(moved.size(), 0u);
+  }
+}
+
+TEST(ShardedSimulator, PayloadBytesArriveAsPosted) {
+  // One inline-sized and one heap-sized payload, through the exchange.
+  ShardedSimulator rt{two_shards(1)};
+  std::vector<std::vector<std::uint8_t>> got;
+  rt.register_endpoint(0, 0, [](const Message&) {});
+  rt.register_endpoint(1, 1, [&](const Message& m) {
+    got.emplace_back(m.payload.begin(), m.payload.end());
+  });
+  const std::vector<std::uint8_t> small{1, 2, 3, 4};
+  std::vector<std::uint8_t> large(100);
+  for (std::size_t i = 0; i < large.size(); ++i) {
+    large[i] = static_cast<std::uint8_t>(255 - i);
+  }
+  rt.post(0, 1, Duration::millis(1), 0, small);
+  rt.post(0, 1, Duration::millis(2), 0, large);
+  rt.run_until(TimePoint::from_ns(0) + Duration::millis(5));
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0], small);
+  EXPECT_EQ(got[1], large);
+}
+
+TEST(ShardedSimulator, UnregisteredEndpointIsRefused) {
+  ShardedSimulator rt{two_shards(1)};
+  rt.register_endpoint(0, 0, [](const Message&) {});
+  rt.register_endpoint(3, 1, [](const Message&) {});
+  EXPECT_EQ(rt.owner_of(3), 1u);
+  // Id 1 sits inside the table but was never registered.
+  EXPECT_THROW((void)rt.owner_of(1), std::out_of_range);
+  EXPECT_THROW((void)rt.owner_of(7), std::out_of_range);
+  EXPECT_THROW(rt.post(2, 0, Duration::millis(1), 0, {}), std::out_of_range);
 }
 
 }  // namespace
